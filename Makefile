@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench benchjson oracle loadtest clean
+.PHONY: build test race vet bench benchjson oracle loadtest loc clean
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,14 @@ oracle:
 loadtest:
 	$(GO) run ./cmd/tcqload -subs 1000 -dur 10s -policy block \
 		-assert-zero-loss -max-p99 250ms -hist loadtest-hist.txt
+
+# Non-test Go lines per package and in total, excluding bench/ and
+# examples/ — the number ROADMAP item 3 tracks PR over PR (CI prints the
+# total in the test job summary).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './examples/*' ! -path './.*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 clean:
 	$(GO) clean ./...

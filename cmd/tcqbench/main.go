@@ -46,7 +46,7 @@ type benchResult struct {
 }
 
 // parseShards parses the -shards comma list, enforcing the same bounds
-// the SQL WITH (shards=N) clause does.
+// tcqd -shards does.
 func parseShards(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {

@@ -40,9 +40,8 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "telemetry HTTP listen address (/metrics, /statz, /healthz); empty disables")
 	mode := flag.String("class-mode", "footprint", "query class placement: footprint|single|per-query")
 	batch := flag.Int("batch", 0, "eddy tuple-batching knob (0 = auto: full drains when compiled, 1 otherwise)")
-	shards := flag.Int("shards", 0, "eddy shards per EO (0/1 = single engine; queries may override with WITH (shards=N))")
+	shards := flag.Int("shards", 0, "hash-partitioned eddy shards per EO beside its inline catch-all (0/1 = none)")
 	hops := flag.Int("fixed-hops", 1, "eddy operator-fixing knob")
-	compiled := flag.Bool("compiled", true, "compile predicates/projections to columnar bytecode (queries may override with WITH (compiled=on|off))")
 	chaosSpec := flag.String("chaos", "", `fault injection spec, e.g. "seed=7,drop=0.01,stall=0.05,corrupt=0.02" (see internal/chaos)`)
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "max time to flush in-flight tuples on SIGINT/SIGTERM")
 	role := flag.String("role", "", "cluster role: coordinator|worker (empty = standalone engine)")
@@ -73,9 +72,6 @@ func main() {
 		os.Exit(2)
 	}
 	opts := executor.Options{Batch: *batch, Shards: *shards, FixedHops: *hops}
-	if !*compiled {
-		opts.CompiledExpr = executor.ExprInterpreted
-	}
 	if *chaosSpec != "" {
 		inj, err := chaos.Parse(*chaosSpec)
 		if err != nil {

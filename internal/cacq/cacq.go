@@ -84,7 +84,7 @@ type Engine struct {
 
 	// compiled selects the expression path: bytecode programs over
 	// columnar batches (default), or the tree-walking interpreter
-	// (WITH (compiled=off), the oracle's reference sweep).
+	// (the oracle's reference sweep, E12's baseline).
 	compiled bool
 
 	stats EngineStats

@@ -11,8 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,7 +65,7 @@ const (
 	// fallback for anything uncompilable and for error replay.
 	ExprCompiled ExprMode = iota
 	// ExprInterpreted forces the tree-walking reference interpreter
-	// everywhere (the oracle's reference sweep, WITH (compiled=off)).
+	// everywhere (the oracle's reference sweep, E12's baseline).
 	ExprInterpreted
 )
 
@@ -88,14 +86,11 @@ type Options struct {
 	Batch     int
 	FixedHops int
 	// CompiledExpr selects the expression-evaluation path for every
-	// engine this executor creates. The zero value is ExprCompiled; a
-	// query's WITH (compiled=off|on) overrides it for the EO the query
-	// creates, mirroring WITH (shards=N).
+	// engine this executor creates. The zero value is ExprCompiled.
 	CompiledExpr ExprMode
-	// Shards splits each EO into that many hash-partitioned eddy shards
-	// plus a catch-all shard (see shard.go). 0 or 1 keeps the classic
-	// single-engine EO. A query's WITH (shards=N) overrides this for the
-	// EO it creates.
+	// Shards gives each EO that many hash-partitioned eddy shards beside
+	// its inline catch-all (see shard.go). 0 or 1 means no hash shards:
+	// the catch-all on the EO goroutine hosts every query.
 	Shards int
 	// Metrics receives the executor's telemetry (nil → a private
 	// registry; pass a shared one to aggregate with storage etc.).
@@ -228,6 +223,8 @@ const (
 	ctlStats
 )
 
+// envelope is the one control message: executor → EO over the control
+// Fjord, and EO → hash shard over the shard's command channel.
 type envelope struct {
 	ctl   ctlKind
 	query *cacq.Query
@@ -235,8 +232,14 @@ type envelope struct {
 	feeds []plan.Feed     // the query's stream feeds (ctlAddQuery)
 	qid   int
 	rows  []*tuple.Tuple // table load
-	ack   chan error
-	snap  chan *eoSnapshot // ctlStats reply
+	reply chan ctlReply
+}
+
+// ctlReply answers one envelope.
+type ctlReply struct {
+	err   error
+	moved int         // ctlBarrier on a hash shard: tuples moved this round
+	snap  *eoSnapshot // ctlStats; nil when the EO is shutting down or dead
 }
 
 // eoDrainBatch bounds how many data tuples one engine quantum admits.
@@ -249,78 +252,49 @@ type delivery struct {
 	row *tuple.Tuple
 }
 
-// execObject is one Execution Object: a goroutine scheduling its
-// dispatch units (control handling, ingress drain, engine work)
-// non-preemptively. Its ingress is two Fjord edges: a control queue of
-// envelopes (multi-writer: Submit, Cancel, Barrier, telemetry scrapes)
-// and a data queue of bare tuples with batch endpoints, drained
-// eoDrainBatch at a time so the per-tuple queue cost amortizes.
+// execObject is the executor-visible half of one Execution Object: its
+// two ingress Fjord edges — a control queue of envelopes (multi-writer:
+// Submit, Cancel, Barrier, telemetry scrapes) and a data queue of bare
+// tuples with batch endpoints, drained eoDrainBatch at a time so the
+// per-tuple queue cost amortizes — plus the placement bookkeeping kept
+// under x.mu. Everything the EO goroutine owns (the scheduler loop, the
+// route table, the engine hosts) lives in group; see shard.go.
 type execObject struct {
 	idx     int
-	engine  *cacq.Engine
 	ctl     *fjord.Counted[envelope]     // control edge (rare, multi-writer)
 	data    *fjord.Counted[*tuple.Tuple] // data edge (multi-writer fan-in)
-	feeds   map[string][]string          // stream → aliases fed into this EO
-	sources map[string]bool              // footprint covered by this EO
+	feeds   map[string]bool              // streams routed to this EO (readers; under x.mu)
+	sources map[string]bool              // footprint covered by this EO (placeLocked; under x.mu)
 	done    chan struct{}
 	x       *Executor
-	// compiled records this EO's expression path (Options.CompiledExpr,
-	// possibly overridden by WITH (compiled=...) at creation); shard
-	// groups read it when building their per-shard engines.
-	compiled bool
-
-	// EO-goroutine scratch (never shared): the drain buffer for
-	// DequeueBatch, the buffered deliveries of the current quantum, and
-	// the per-query row slice reused while flushing them.
-	drain  []*tuple.Tuple
-	out    []delivery
-	rowBuf []*tuple.Tuple
-
-	// group is non-nil when this EO runs as a multi-eddy shard group
-	// (Options.Shards / WITH (shards=N)); its coordinator loop replaces
-	// the single-engine scheduler and eo.engine is nil.
-	group *shardGroup
+	group   *shardGroup
 
 	shed atomic.Int64 // tuples dropped because the EO queue was full
 	dead atomic.Bool  // quarantined after an operator panic
 }
 
-// shardCount reports how many eddy shards an EO runs on (1 = classic).
+// shardCount reports how many eddy shards host the EO's partitionable
+// queries (1 = no hash shards: the inline catch-all hosts everything).
 func (eo *execObject) shardCount() int {
-	if eo.group != nil {
-		return eo.group.n
+	if eo.group.n == 0 {
+		return 1
 	}
-	return 1
+	return eo.group.n
 }
 
-func (x *Executor) newEO(shards int, compiled bool) *execObject {
+func (x *Executor) newEO() *execObject {
 	eo := &execObject{
-		idx:      len(x.eos),
-		ctl:      fjord.Count(fjord.NewPush[envelope](256)),
-		data:     fjord.Count(fjord.NewPush[*tuple.Tuple](x.opts.QueueCap)),
-		feeds:    map[string][]string{},
-		sources:  map[string]bool{},
-		done:     make(chan struct{}),
-		x:        x,
-		drain:    make([]*tuple.Tuple, eoDrainBatch),
-		compiled: compiled,
+		idx:     len(x.eos),
+		ctl:     fjord.Count(fjord.NewPush[envelope](256)),
+		data:    fjord.Count(fjord.NewPush[*tuple.Tuple](x.opts.QueueCap)),
+		feeds:   map[string]bool{},
+		sources: map[string]bool{},
+		done:    make(chan struct{}),
+		x:       x,
 	}
-	if shards > 1 {
-		eo.group = newShardGroup(eo, shards)
-		x.eos = append(x.eos, eo)
-		go eo.group.run()
-		return eo
-	}
-	eo.engine = cacq.NewEngine(x.opts.Policy(int64(eo.idx)+1), func(id int, row *tuple.Tuple) {
-		eo.out = append(eo.out, delivery{id: id, row: row})
-	})
-	eo.engine.SetCompiled(compiled)
-	eo.engine.Eddy().BatchSize = x.opts.engineBatch(compiled)
-	if x.opts.FixedHops > 1 {
-		eo.engine.Eddy().FixedHops = x.opts.FixedHops
-	}
+	eo.group = newShardGroup(eo, x.opts.Shards)
 	x.eos = append(x.eos, eo)
-	go eo.run()
+	go eo.group.run()
 	return eo
 }
 
@@ -338,181 +312,24 @@ func (o *Options) engineBatch(compiled bool) int {
 	return 1
 }
 
-// run is the EO scheduler loop: drain control, drain a batch of data
-// tuples, give the engine its quantum, idle briefly when nothing is
-// queued. Control drains first so cancellation and barriers are not
-// starved by a full data queue. Each iteration runs inside step's
-// panic isolation: a fault in operator code quarantines this EO's
-// queries and retires the EO instead of crashing the process.
-func (eo *execObject) run() {
-	defer close(eo.done)
-	idle := 0
-	for {
-		if eo.step(&idle) {
-			return
+// ask round-trips one control message through the EO's control queue.
+func (eo *execObject) ask(env envelope) ctlReply {
+	env.reply = make(chan ctlReply, 1)
+	if err := eo.ctl.Enqueue(env); err != nil {
+		return ctlReply{err: err}
+	}
+	select {
+	case r := <-env.reply:
+		return r
+	case <-eo.done:
+		// The EO exited between enqueue and dispatch; take the reply if
+		// it raced ahead of done.
+		select {
+		case r := <-env.reply:
+			return r
+		default:
+			return ctlReply{err: fjord.ErrClosed}
 		}
-	}
-}
-
-// step is one scheduler iteration; it reports whether the loop should
-// exit. A panic anywhere inside — engine quantum, operator code, a
-// control handler — unwinds to here, where the executor quarantines the
-// EO (§2.4 motivation: partial failure must not take the engine down).
-func (eo *execObject) step(idle *int) (exit bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			eo.x.quarantine(eo, r, debug.Stack())
-			exit = true
-		}
-	}()
-	if env, ok := eo.ctl.TryDequeue(); ok {
-		*idle = 0
-		eo.control(env)
-		return false
-	}
-	if n := eo.data.DequeueBatch(eo.drain); n > 0 {
-		*idle = 0
-		for i := 0; i < n; i++ {
-			eo.push(eo.drain[i])
-			eo.drain[i] = nil
-		}
-		_ = eo.runEngine()
-		return false
-	}
-	if eo.ctl.Closed() {
-		return true
-	}
-	// Idle dispatch: async modules, pending admission batches.
-	_ = eo.runEngine()
-	*idle++
-	if *idle > 8 {
-		time.Sleep(200 * time.Microsecond)
-	}
-	return false
-}
-
-// runEngine gives the engine a quantum and then flushes the result rows
-// it buffered, batched per query.
-func (eo *execObject) runEngine() error {
-	err := eo.engine.Run()
-	if len(eo.out) > 0 {
-		eo.flushOut()
-	}
-	return err
-}
-
-// flushOut hands buffered deliveries to the hub in runs of consecutive
-// same-query rows (engine deliveries cluster by query, so one DeliverBatch
-// usually covers a whole quantum's output for a query).
-func (eo *execObject) flushOut() {
-	pend := eo.out
-	for i := 0; i < len(pend); {
-		id := pend[i].id
-		eo.rowBuf = eo.rowBuf[:0]
-		j := i
-		for ; j < len(pend) && pend[j].id == id; j++ {
-			eo.rowBuf = append(eo.rowBuf, pend[j].row)
-		}
-		eo.x.deliverBatch(id, eo.rowBuf)
-		i = j
-	}
-	for i := range pend {
-		pend[i] = delivery{}
-	}
-	eo.out = pend[:0]
-}
-
-// drainData feeds every queued data tuple into the engine (no quantum
-// bound); barriers use it to reach quiescence. Returns tuples drained.
-func (eo *execObject) drainData() int {
-	total := 0
-	for {
-		n := eo.data.DequeueBatch(eo.drain)
-		if n == 0 {
-			return total
-		}
-		for i := 0; i < n; i++ {
-			eo.push(eo.drain[i])
-			eo.drain[i] = nil
-		}
-		total += n
-	}
-}
-
-func (eo *execObject) push(t *tuple.Tuple) {
-	src := t.Schema.Sources[0]
-	if eo.x.opts.Chaos.PanicFor(src) {
-		panic(fmt.Sprintf("chaos: injected operator panic on stream %s (EO %d)", src, eo.idx))
-	}
-	aliases := eo.feeds[src]
-	if len(aliases) == 0 {
-		tuple.Recycle(t) // no query reads this stream here anymore
-		return
-	}
-	for _, alias := range aliases {
-		tt := t
-		if alias != src {
-			tt = t.Clone()
-			tt.Schema = t.Schema.RenameShared(alias)
-		} else if len(aliases) > 1 {
-			tt = t.Clone()
-		}
-		_ = eo.engine.Push(tt)
-	}
-	// The original tuple is pushed as-is only on the common one-alias
-	// fast path; any other shape pushed clones, so retire it.
-	if len(aliases) != 1 || aliases[0] != src {
-		tuple.Recycle(t)
-	}
-}
-
-func (eo *execObject) control(env envelope) {
-	// A panic inside a handler must still release the waiting submitter
-	// before it unwinds into quarantine, or Submit/Barrier would hang on
-	// an ack that never comes.
-	acked := false
-	defer func() {
-		if r := recover(); r != nil {
-			if env.ack != nil && !acked {
-				env.ack <- fmt.Errorf("executor: EO %d panicked in control handler: %v", eo.idx, r)
-			}
-			panic(r)
-		}
-	}()
-	var err error
-	switch env.ctl {
-	case ctlAddQuery:
-		err = eo.engine.AddQuery(env.query)
-	case ctlRemoveQuery:
-		eo.engine.RemoveQuery(env.qid)
-	case ctlLoadTable:
-		for _, r := range env.rows {
-			if e := eo.engine.Push(r); e != nil && err == nil {
-				err = e
-			}
-		}
-		if e := eo.runEngine(); e != nil && err == nil {
-			err = e
-		}
-	case ctlBarrier:
-		// A barrier acks only after the data queue is empty and the
-		// engine has gone quiescent; keep alternating because a quantum
-		// may admit more arrivals queued behind the batch it drained.
-		for {
-			n := eo.drainData()
-			if e := eo.runEngine(); e != nil && err == nil {
-				err = e
-			}
-			if n == 0 {
-				break
-			}
-		}
-	case ctlStats:
-		env.snap <- eo.snapshot()
-	}
-	if env.ack != nil {
-		acked = true
-		env.ack <- err
 	}
 }
 
@@ -520,55 +337,9 @@ func (eo *execObject) control(env envelope) {
 // Object panicked.
 var ErrQuarantined = errors.New("executor: query quarantined after operator panic")
 
-// quarantine retires a panicked EO: it stops admission, drains and
-// recycles queued work, releases any waiting control senders, marks the
-// EO's queries errored, and delivers the failure to their subscribers.
-// Other EOs — and therefore all queries in other classes — keep running.
-// Runs on the EO's own goroutine, immediately before it exits.
-func (x *Executor) quarantine(eo *execObject, cause any, stack []byte) {
-	eo.dead.Store(true)
-	err := fmt.Errorf("%w: EO %d: %v", ErrQuarantined, eo.idx, cause)
-	fmt.Fprintf(os.Stderr, "telegraphcq: %v\n%s", err, stack)
-
-	// Stop admission, then retire everything already queued: the drain
-	// scratch (a panic mid-batch leaves its tail unprocessed), the data
-	// queue, and the engine's buffered deliveries.
-	eo.data.Close()
-	eo.ctl.Close()
-	for i := range eo.drain {
-		if eo.drain[i] != nil {
-			tuple.Recycle(eo.drain[i])
-			eo.drain[i] = nil
-		}
-	}
-	for {
-		t, ok := eo.data.TryDequeue()
-		if !ok {
-			break
-		}
-		tuple.Recycle(t)
-	}
-	// Release queued control senders (Submit, Barrier, scrapes) with the
-	// quarantine error so nothing deadlocks on a dead EO.
-	for {
-		env, ok := eo.ctl.TryDequeue()
-		if !ok {
-			break
-		}
-		if env.ack != nil {
-			env.ack <- err
-		}
-		if env.snap != nil {
-			close(env.snap)
-		}
-	}
-
-	x.failEO(eo, err)
-}
-
 // failEO is the executor-side bookkeeping of a quarantine: count it,
 // mark the EO's queries errored, and deliver the failure to their
-// subscribers. Shared by the single-engine and shard-group paths.
+// subscribers.
 func (x *Executor) failEO(eo *execObject, err error) {
 	x.mu.Lock()
 	x.quarantines++
@@ -653,28 +424,13 @@ func (x *Executor) submit(sel *sql.Select, attach bool) (int, *egress.Subscripti
 	}
 	planned.CQ.StartTime = st
 
-	// WITH (shards=N) overrides the executor default, but only for the
-	// EO the query *creates*; placed on an existing EO the query joins
-	// that EO's shard count (footprint sharing wins over the hint).
-	shards := x.opts.Shards
-	if sel.Shards > 0 {
-		shards = sel.Shards
-	}
-	// WITH (compiled=on|off) works the same way: it picks the
-	// expression path of the EO the query creates.
-	compiled := x.opts.CompiledExpr == ExprCompiled
-	if sel.Compiled != 0 {
-		compiled = sel.Compiled > 0
-	}
-
 	x.mu.Lock()
-	eo := x.placeLocked(planned, shards, compiled)
-	// Register feeds before the query so data admitted concurrently is
-	// seen; the engine ignores tuples with no interested query.
+	eo := x.placeLocked(planned)
+	// Route the feeds to the EO before the query registers so data
+	// admitted concurrently reaches it; the EO recycles tuples of streams
+	// its route table does not name yet.
 	for _, f := range planned.Feeds {
-		if !contains(eo.feeds[f.Stream], f.As) {
-			eo.feeds[f.Stream] = append(eo.feeds[f.Stream], f.As)
-		}
+		eo.feeds[f.Stream] = true
 		eo.sources[f.As] = true
 		eo.sources[f.Stream] = true
 	}
@@ -685,11 +441,7 @@ func (x *Executor) submit(sel *sql.Select, attach bool) (int, *egress.Subscripti
 	x.mu.Unlock()
 
 	// Add the query synchronously.
-	ack := make(chan error, 1)
-	if err := eo.ctl.Enqueue(envelope{ctl: ctlAddQuery, query: planned.CQ, part: planned.Partition, feeds: planned.Feeds, ack: ack}); err != nil {
-		return 0, nil, err
-	}
-	if err := <-ack; err != nil {
+	if err := eo.ask(envelope{ctl: ctlAddQuery, query: planned.CQ, part: planned.Partition, feeds: planned.Feeds}).err; err != nil {
 		return 0, nil, err
 	}
 
@@ -716,11 +468,7 @@ func (x *Executor) submit(sel *sql.Select, attach bool) (int, *egress.Subscripti
 			}
 			renamed[i] = rr
 		}
-		ack := make(chan error, 1)
-		if err := eo.ctl.Enqueue(envelope{ctl: ctlLoadTable, rows: renamed, ack: ack}); err != nil {
-			return 0, nil, err
-		}
-		if err := <-ack; err != nil {
+		if err := eo.ask(envelope{ctl: ctlLoadTable, rows: renamed}).err; err != nil {
 			return 0, nil, err
 		}
 	}
@@ -739,10 +487,9 @@ func (x *Executor) submit(sel *sql.Select, attach bool) (int, *egress.Subscripti
 	return id, sub, nil
 }
 
-// placeLocked picks (or creates) the EO for a planned query; shards
-// and compiled configure a newly created EO. Quarantined EOs are never
-// placement candidates.
-func (x *Executor) placeLocked(p *plan.Planned, shards int, compiled bool) *execObject {
+// placeLocked picks (or creates) the EO for a planned query. Quarantined
+// EOs are never placement candidates.
+func (x *Executor) placeLocked(p *plan.Planned) *execObject {
 	switch x.opts.Mode {
 	case ClassSingle:
 		for _, eo := range x.eos {
@@ -750,9 +497,9 @@ func (x *Executor) placeLocked(p *plan.Planned, shards int, compiled bool) *exec
 				return eo
 			}
 		}
-		return x.newEO(shards, compiled)
+		return x.newEO()
 	case ClassPerQuery:
-		return x.newEO(shards, compiled)
+		return x.newEO()
 	default:
 		// Footprint overlap: first live EO sharing any source.
 		fp := p.CQ.Footprint()
@@ -766,17 +513,8 @@ func (x *Executor) placeLocked(p *plan.Planned, shards int, compiled bool) *exec
 				}
 			}
 		}
-		return x.newEO(shards, compiled)
+		return x.newEO()
 	}
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // Cancel removes a standing query and closes its subscription.
@@ -793,11 +531,9 @@ func (x *Executor) Cancel(id int) error {
 	// A quarantined EO no longer accepts control traffic; its engine is
 	// gone, so there is nothing to remove — just release the consumers.
 	if !rq.eo.dead.Load() {
-		ack := make(chan error, 1)
-		if err := rq.eo.ctl.Enqueue(envelope{ctl: ctlRemoveQuery, qid: id, ack: ack}); err != nil {
+		if err := rq.eo.ask(envelope{ctl: ctlRemoveQuery, qid: id}).err; err != nil && !rq.eo.dead.Load() && !errors.Is(err, ErrQuarantined) {
 			return err
 		}
-		<-ack
 	}
 	if rq.post != nil {
 		for _, r := range rq.post.flush() {
@@ -1010,7 +746,7 @@ func (x *Executor) readers(stream string) []*execObject {
 	defer x.mu.Unlock()
 	eos := make([]*execObject, 0, len(x.eos))
 	for _, eo := range x.eos {
-		if len(eo.feeds[stream]) > 0 && !eo.dead.Load() {
+		if eo.feeds[stream] && !eo.dead.Load() {
 			eos = append(eos, eo)
 		}
 	}
@@ -1027,17 +763,9 @@ func (x *Executor) Barrier() error {
 		if eo.dead.Load() {
 			continue // a quarantined EO is permanently quiescent
 		}
-		ack := make(chan error, 1)
-		if err := eo.ctl.Enqueue(envelope{ctl: ctlBarrier, ack: ack}); err != nil {
-			if eo.dead.Load() {
-				continue // lost the race with a quarantine
-			}
-			return err
-		}
-		if err := <-ack; err != nil {
-			if errors.Is(err, ErrQuarantined) {
-				continue // the EO died while the barrier was queued
-			}
+		// An EO that died while the barrier was queued or running is
+		// quiescent too.
+		if err := eo.ask(envelope{ctl: ctlBarrier}).err; err != nil && !eo.dead.Load() && !errors.Is(err, ErrQuarantined) {
 			return err
 		}
 	}

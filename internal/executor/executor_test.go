@@ -73,19 +73,15 @@ func drain(t *testing.T, x *Executor, sub *egress.Subscription) []*tuple.Tuple {
 		t.Fatal(err)
 	}
 	var out []*tuple.Tuple
-	deadline := time.Now().Add(time.Second)
-	for {
-		r, ok := sub.TryNext()
-		if ok {
+	waitFor(t, 30*time.Second, "subscription to drain", func() bool {
+		for {
+			r, ok := sub.TryNext()
+			if !ok {
+				return sub.Len() == 0
+			}
 			out = append(out, r)
-			continue
 		}
-		// Delivery runs on EO goroutines; allow a grace period.
-		if time.Now().After(deadline) || sub.Len() == 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	})
 	return out
 }
 
@@ -203,27 +199,45 @@ func TestSelfJoinWithAliases(t *testing.T) {
 	}
 }
 
+// TestCancelStopsDelivery cancels a query and resubmits another on the
+// same EO, with and without hash shards: the cancelled query stops
+// delivering, and the route table rebuilt on remove and on add keeps the
+// EO's other traffic flowing.
 func TestCancelStopsDelivery(t *testing.T) {
-	x := New(newCat(t), Options{})
-	defer x.Close()
-	id, sub := submit(t, x, `SELECT sym FROM stocks`)
-	pushStocks(t, x, [2]any{"A", 1.0})
-	if got := drain(t, x, sub); len(got) != 1 {
-		t.Fatalf("before cancel: %d", len(got))
-	}
-	if err := x.Cancel(id); err != nil {
-		t.Fatal(err)
-	}
-	pushStocks(t, x, [2]any{"B", 1.0})
-	_ = x.Barrier()
-	if _, ok := sub.TryNext(); ok {
-		t.Fatal("delivery after cancel")
-	}
-	if err := x.Cancel(id); err == nil {
-		t.Fatal("double cancel succeeded")
-	}
-	if len(x.Queries()) != 0 {
-		t.Fatalf("queries = %v", x.Queries())
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			x := New(newCat(t), Options{Shards: shards, SampleInterval: -1})
+			defer x.Close()
+			id, sub := submit(t, x, `SELECT sym FROM stocks WHERE price > 10`)
+			pushStocks(t, x, [2]any{"A", 50.0}, [2]any{"B", 5.0})
+			if got := drain(t, x, sub); len(got) != 1 {
+				t.Fatalf("before cancel: %d", len(got))
+			}
+			if err := x.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+			pushStocks(t, x, [2]any{"B", 50.0})
+			if err := x.Barrier(); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := sub.TryNext(); ok {
+				t.Fatal("delivery after cancel")
+			}
+			if err := x.Cancel(id); err == nil {
+				t.Fatal("double cancel succeeded")
+			}
+			if len(x.Queries()) != 0 {
+				t.Fatalf("queries = %v", x.Queries())
+			}
+			_, sub2 := submit(t, x, `SELECT sym, price FROM stocks WHERE price > 1`)
+			pushStocks(t, x, [2]any{"C", 7.0}, [2]any{"D", 0.5})
+			if got := drain(t, x, sub2); len(got) != 1 {
+				t.Fatalf("rows after resubmit = %d, want 1", len(got))
+			}
+			if x.EOCount() != 1 {
+				t.Fatalf("EOs = %d", x.EOCount())
+			}
+		})
 	}
 }
 
@@ -237,13 +251,9 @@ func TestLimitCompletesQuery(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	// The query cancels itself after LIMIT.
-	deadline := time.Now().Add(time.Second)
-	for len(x.Queries()) != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if len(x.Queries()) != 0 {
-		t.Fatalf("query still standing after LIMIT")
-	}
+	waitFor(t, 30*time.Second, "the query to cancel itself after LIMIT", func() bool {
+		return len(x.Queries()) == 0
+	})
 }
 
 func TestDistinct(t *testing.T) {
@@ -298,8 +308,11 @@ func TestSubscriptionShedsWhenClientStalls(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pushStocks(t, x, [2]any{fmt.Sprintf("s%d", i), 1.0})
 	}
-	_ = x.Barrier()
-	time.Sleep(10 * time.Millisecond)
+	// Delivery (and therefore shedding) happens on the EO goroutine
+	// before the barrier is acknowledged.
+	if err := x.Barrier(); err != nil {
+		t.Fatal(err)
+	}
 	if sub.Dropped() == 0 {
 		t.Fatal("no shedding with tiny subscription queue")
 	}
@@ -320,8 +333,9 @@ func TestManyQueriesManyTuples(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		pushStocks(t, x, [2]any{"X", float64(i)})
 	}
-	_ = x.Barrier()
-	time.Sleep(20 * time.Millisecond)
+	if err := x.Barrier(); err != nil {
+		t.Fatal(err)
+	}
 	// Query i sees prices i*10+1 .. 199: 199-(i*10) rows.
 	for id, sub := range subs {
 		want := 199 - id*10

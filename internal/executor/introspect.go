@@ -6,11 +6,12 @@
 // queries at the engine's own state — the introspection that drives the
 // paper's adaptivity, made queryable with the paper's own query model.
 //
-// The engine's counters are plain fields owned by each Execution
-// Object; scrapers never touch them. Instead a scrape sends a ctlStats
-// envelope down the EO's control channel (the same mechanism Barrier
-// uses) and the EO assembles an eoSnapshot on its own thread. The hot
-// path therefore pays nothing — no atomics, no locks — for telemetry.
+// The engine's counters are plain fields owned by each engine host;
+// scrapers never touch them. Instead a scrape sends a ctlStats envelope
+// down the EO's control channel (the same mechanism Barrier uses) and
+// the EO assembles an eoSnapshot from snapshots each host takes on its
+// own thread. The hot path therefore pays nothing — no atomics, no
+// locks — for telemetry.
 package executor
 
 import (
@@ -120,13 +121,12 @@ type eoSnapshot struct {
 	filters []filterSnapshot
 	stems   []stemSnapshot
 	queries []cacq.QueryInfo
-	// shards holds the per-shard detail when the EO is a shard group
-	// (empty for a classic single-engine EO); the top-level fields above
-	// are then the sum over shards.
+	// shards holds the per-host detail when the EO has hash shards (empty
+	// otherwise); the top-level fields above are then the sum over hosts.
 	shards []shardSnapshot
 }
 
-// shardSnapshot is one eddy shard's state within a shard group's merged
+// shardSnapshot is one engine host's state within a sharded EO's merged
 // snapshot.
 type shardSnapshot struct {
 	id         int
@@ -150,11 +150,8 @@ type stemSnapshot struct {
 	stats stem.Stats
 }
 
-// snapshot runs on the EO goroutine (ctlStats handler).
-func (eo *execObject) snapshot() *eoSnapshot { return snapshotEngine(eo.engine) }
-
 // snapshotEngine copies one CACQ engine's observable state; it must run
-// on the goroutine that owns the engine (an EO or an eddy shard).
+// on the goroutine that owns the engine (eddyShard.handle).
 func snapshotEngine(e *cacq.Engine) *eoSnapshot {
 	ed := e.Eddy()
 	s := &eoSnapshot{
@@ -175,12 +172,13 @@ func snapshotEngine(e *cacq.Engine) *eoSnapshot {
 	return s
 }
 
-// mergeSnapshot folds one shard's snapshot into a group-level one:
-// counters sum; shared-state views merge by module name (a shardable
+// mergeSnapshot folds one host's snapshot into the EO-level one: shard
+// rows append; counters sum; shared-state views merge by module name (a shardable
 // query's filters and SteMs exist on every hash shard — SteM sizes and
 // stats sum, grouped-filter registration counts agree so the max is the
 // true value); per-query delivery counts sum by query id.
 func mergeSnapshot(dst, src *eoSnapshot) {
+	dst.shards = append(dst.shards, src.shards...)
 	dst.eddy = dst.eddy.Add(src.eddy)
 	dst.modules = eddy.MergeModuleStats(dst.modules, src.modules)
 	dst.engine.Pushed += src.engine.Pushed
@@ -237,28 +235,6 @@ func mergeSnapshot(dst, src *eoSnapshot) {
 	}
 }
 
-// statsSnapshot round-trips a ctlStats envelope through the EO's
-// control channel. Returns nil if the EO is shutting down.
-func (eo *execObject) statsSnapshot() *eoSnapshot {
-	ch := make(chan *eoSnapshot, 1)
-	if err := eo.ctl.Enqueue(envelope{ctl: ctlStats, snap: ch}); err != nil {
-		return nil
-	}
-	select {
-	case s := <-ch:
-		return s
-	case <-eo.done:
-		// The EO exited between enqueue and dispatch; drain if the reply
-		// raced ahead of done.
-		select {
-		case s := <-ch:
-			return s
-		default:
-			return nil
-		}
-	}
-}
-
 // registerSystemStreams creates the introspection streams in the
 // catalog (best effort: a shared catalog may already have them).
 func (x *Executor) registerSystemStreams() {
@@ -302,8 +278,8 @@ func (x *Executor) registerSystemStreams() {
 			col("moves", tuple.KindInt), col("repairs", tuple.KindInt),
 			col("lost", tuple.KindInt), col("detect_ms", tuple.KindInt),
 		}},
-		// One row per eddy shard of each sharded EO (empty for classic
-		// single-engine EOs).
+		// One row per engine host of each EO that has hash shards (no
+		// rows for an EO that is only its inline catch-all).
 		{StreamShards, []tuple.Column{
 			col("eo", tuple.KindInt), col("shard", tuple.KindInt),
 			col("catch_all", tuple.KindInt),
@@ -360,7 +336,7 @@ func (x *Executor) SampleSystemStreams() {
 	x.mu.Unlock()
 
 	for _, eo := range eos {
-		s := eo.statsSnapshot()
+		s := eo.ask(envelope{ctl: ctlStats}).snap
 		if s == nil {
 			continue
 		}
@@ -578,7 +554,7 @@ func (x *Executor) registerCollectors() {
 			counter("tcq_eo_ctl_enqueued_total", "control envelopes accepted", cs.Enqueued, lEO)
 			counter("tcq_eo_ctl_dequeued_total", "control envelopes handled", cs.Dequeued, lEO)
 
-			s := eo.statsSnapshot()
+			s := eo.ask(envelope{ctl: ctlStats}).snap
 			if s == nil {
 				continue
 			}
@@ -607,8 +583,8 @@ func (x *Executor) registerCollectors() {
 			counter("tcq_engine_pushed_total", "tuples pushed into the CACQ engine", s.engine.Pushed, lEO)
 			counter("tcq_engine_delivered_total", "result rows delivered by the engine", s.engine.Delivered, lEO)
 
-			// Multi-eddy shard detail (sharded EOs only).
-			gauge("tcq_eo_shards", "hash shards of the EO (1 = classic single engine)", float64(eo.shardCount()), lEO)
+			// Per-host detail (EOs with hash shards only).
+			gauge("tcq_eo_shards", "eddy shards hosting the EO's partitionable queries (1 = none beside the inline catch-all)", float64(eo.shardCount()), lEO)
 			for _, sh := range s.shards {
 				lSh := telemetry.L("shard", strconv.Itoa(sh.id))
 				role := "hash"

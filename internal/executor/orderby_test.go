@@ -38,17 +38,14 @@ func TestOrderByPrioritizedDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushed := 0
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := sub.TryNext(); ok {
+	waitFor(t, 30*time.Second, "the reorder buffer to flush", func() bool {
+		for {
+			if _, ok := sub.TryNext(); !ok {
+				return flushed >= 64
+			}
 			flushed++
-			continue
 		}
-		if flushed >= 64 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	})
 	if flushed != 64 {
 		t.Fatalf("flushed = %d, want 64", flushed)
 	}

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -142,14 +143,25 @@ func TestOverflowAccountingBatch(t *testing.T) {
 	}
 }
 
-// TestPanicQuarantineIsolatesQuery injects a panic into the EO that
-// reads stocks and verifies the blast radius: that query dies with a
-// diagnosable error, the news query on its own EO keeps producing, and
-// the engine as a whole (Push, Barrier, Close) stays usable.
+// TestPanicQuarantineIsolatesQuery injects an operator panic into the EO
+// that reads stocks — on the EO goroutine itself (no hash shards) and
+// inside a hash shard — and verifies the blast radius: that query dies
+// with a diagnosable error, the news query on its own EO keeps
+// producing, and the engine as a whole (Push, Barrier, Close) stays
+// usable.
 func TestPanicQuarantineIsolatesQuery(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testPanicQuarantine(t, shards)
+		})
+	}
+}
+
+func testPanicQuarantine(t *testing.T, shards int) {
 	x := New(newCat(t), Options{
-		Mode:  ClassByFootprint, // stocks and news land on separate EOs
-		Chaos: chaos.New(chaos.Config{Seed: 3, PanicStream: "stocks"}),
+		Mode:   ClassByFootprint, // stocks and news land on separate EOs
+		Shards: shards,
+		Chaos:  chaos.New(chaos.Config{Seed: 3, PanicStream: "stocks"}),
 	})
 	defer x.Close()
 	idStocks, subStocks := submit(t, x, `SELECT sym, price FROM stocks`)
@@ -158,7 +170,7 @@ func TestPanicQuarantineIsolatesQuery(t *testing.T) {
 		t.Fatalf("EOCount=%d, want 2 (disjoint footprints)", x.EOCount())
 	}
 
-	// The first stocks tuple to enter the EO loop trips the panic.
+	// The first stocks tuple admitted into an engine host trips the panic.
 	pushN(t, x, 5)
 	waitFor(t, 30*time.Second, "the EO to quarantine", func() bool {
 		return x.Quarantines() != 0

@@ -1,38 +1,41 @@
-// Multi-eddy SMP sharding: when Options.Shards > 1 each Execution
-// Object becomes a *shard group* — N hash shards plus one catch-all
-// shard, each owning a private CACQ engine (its own eddy loop, SteMs,
-// grouped filters, and batch freelist) on its own goroutine. The EO
-// goroutine becomes the group's coordinator: it hash-partitions ingress
-// tuples by each stream's dominant join key into per-shard SPSC fjords
-// (round-robin for keyless streams), merges per-shard egress back into
-// the Hub seam in deterministic shard order, and serializes all control
-// traffic (query add/remove, barriers, telemetry scrapes) so no shard
-// state is ever touched off its owning thread.
+// One engine host, one EO shape. Every Execution Object is a router, an
+// inline catch-all and N ≥ 0 hash shards:
+//
+//   - eddyShard is the only type that owns a CACQ engine's life cycle
+//     (create + knobs, admit with alias fan-out/rename, quantum + flush,
+//     add/remove/load/quiesce/stats, teardown).
+//   - The catch-all host runs inline on the EO goroutine: the EO drains
+//     its control and data Fjords, admits pinned traffic straight into the
+//     catch-all in global arrival order, runs its quantum and hands its
+//     deliveries directly to the Hub seam. With N = 0 that is the whole
+//     EO — one goroutine, DequeueBatch → admit → Engine.Run →
+//     deliverBatch — and every query is pinned.
+//   - Hash shards (Options.Shards ≥ 2) each get their own goroutine, an
+//     SPSC ingress ring fed by the EO, an SPSC egress ring the EO drains
+//     in fixed shard order, and a row/column of an N×N SPSC exchange mesh.
 //
 // Queries whose joins partition cleanly (plan.Partition.Keys) register
-// on every hash shard; tuples that can ever join hash to the same shard,
-// so no cross-shard coordination is needed on the hot path. When an
-// alias's join key differs from the stream's ingress partitioning (a
-// self-join on different columns, or a second query keying the stream
-// differently), the arrival shard *repartitions mid-plan*: it clones the
-// tuple and moves it through the exchange — a mesh of per-pair SPSC
-// rings — to the shard its key hashes to. Pinned queries (aggregates,
+// on every hash shard; the EO hash-partitions their streams by the
+// dominant join key (round-robin for keyless streams), so tuples that
+// can ever join meet on one shard. When an alias's join key differs from
+// the stream's ingress partitioning (a self-join on different columns,
+// or a second query keying the stream differently), the arrival shard
+// *repartitions mid-plan*: it clones the tuple and moves it through the
+// exchange to the shard its key hashes to. Pinned queries (aggregates,
 // band/Cartesian joins, table readers, conflicting keys) live on the
-// catch-all shard, which receives every tuple of its streams through
-// the same exchange and therefore behaves exactly like a single-shard
-// engine.
+// catch-all, which sees every tuple of its streams in arrival order and
+// therefore behaves exactly like an unsharded engine.
 //
 // Windowed-join correctness across shards: the engine implements join
 // windows by SteM eviction against each stream's sequence high-water
-// mark. A shard only sees its hash class of a stream, so its local
-// high-water mark would lag and stale state would answer probes a
-// single-shard engine would never match. The coordinator therefore
-// maintains a per-stream frontier (it routes every tuple, so it knows
-// the global maximum) published through the route table; each shard
-// applies it via Engine.AdvanceSeq before admitting work. Under barrier
-// discipline the horizons are exact; between barriers they are within
-// the in-flight batch — the same indeterminacy eddy routing order
-// already admits.
+// mark. A hash shard only sees its hash class of a stream, so its local
+// high-water mark would lag and stale state would answer probes an
+// unsharded engine would never match. The EO therefore maintains a
+// per-stream frontier (it routes every tuple, so it knows the global
+// maximum) published through the route table; each hash shard applies it
+// via Engine.AdvanceSeq before admitting work. Under barrier discipline
+// the horizons are exact; between barriers they are within the in-flight
+// batch — the same indeterminacy eddy routing order already admits.
 package executor
 
 import (
@@ -51,53 +54,80 @@ import (
 )
 
 const (
-	// shardIngressCap bounds each shard's coordinator→shard SPSC ring.
+	// shardIngressCap bounds each hash shard's EO→shard SPSC ring.
 	shardIngressCap = 4096
 	// exchangeRingCap bounds each per-pair exchange ring.
 	exchangeRingCap = 1024
-	// egressRingCap bounds each shard's shard→coordinator delivery ring.
+	// egressRingCap bounds each hash shard's shard→EO delivery ring.
 	egressRingCap = 8192
 	// exchangeFlushBatch is the outbound buffer size that forces a flush
 	// mid-quantum (buffers always flush at quantum end and barriers).
 	exchangeFlushBatch = 64
 )
 
+// backoff is the one idle policy of every scheduler loop in the package:
+// after more than eight consecutive turns that moved nothing, sleep
+// briefly instead of spinning.
+func backoff(idle *int, progressed bool) {
+	if progressed {
+		*idle = 0
+		return
+	}
+	*idle++
+	if *idle > 8 {
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
 // ------------------------------------------------------------ route table
 
-// routeTable is the coordinator-built, atomically published partitioning
-// plan: per-stream dominant keys, per-alias destinations, and the
-// per-stream sequence frontier. Shards read it lock-free.
+// routeTable is the EO-built, atomically published partitioning plan,
+// rebuilt whenever a query is added or removed: per stream, the aliases
+// each tier admits it under, the ingress hash key, and the sequence
+// frontier. The EO routes by it; hash shards read it lock-free.
 type routeTable struct {
 	streams  map[string]*streamRoute
-	frontier []*streamFrontier
+	frontier []*streamFrontier // streams with hash-tier readers
 }
 
 // streamFrontier is one stream's sequence high-water mark as observed by
-// the coordinator (the sole writer); shards load it to keep their
-// eviction horizons on the global frontier.
+// the EO (the sole writer); hash shards load it to keep their eviction
+// horizons on the global frontier.
 type streamFrontier struct {
 	stream  string
-	aliases []string // dataflow names this stream feeds (AdvanceSeq targets)
+	aliases []string // hash-tier dataflow names (AdvanceSeq targets)
 	seq     atomic.Int64
 }
 
 type streamRoute struct {
 	stream   string
-	dominant int  // ingress hash column; -1 = round-robin
-	hashAny  bool // at least one alias is read by shardable queries
-	anyPin   bool // at least one alias is read by pinned queries
-	aliases  []aliasRoute
+	dominant int          // ingress hash column; -1 = round-robin
+	hash     []aliasRoute // aliases read by shardable queries (hash shards)
+	pin      []aliasRoute // aliases read by pinned queries (catch-all)
 	front    *streamFrontier
 }
 
 type aliasRoute struct {
 	alias  string
-	keyIdx int  // partition key column; -1 = stay on the arrival shard
-	toHash bool // delivered into the hash shards (shardable readers)
-	toPin  bool // forwarded to the catch-all shard (pinned readers)
+	keyIdx int // partition key column; -1 = stay on the admitting host
 }
 
-// shardQuery is the coordinator's record of one registered query.
+// withAlias returns rs with alias present; a non-negative keyIdx sets
+// the alias's partition key (conflicting keys were pinned at add time,
+// so shardable queries agree on every alias's key).
+func withAlias(rs []aliasRoute, alias string, keyIdx int) []aliasRoute {
+	for i := range rs {
+		if rs[i].alias == alias {
+			if keyIdx >= 0 {
+				rs[i].keyIdx = keyIdx
+			}
+			return rs
+		}
+	}
+	return append(rs, aliasRoute{alias: alias, keyIdx: keyIdx})
+}
+
+// shardQuery is the EO's record of one registered query.
 type shardQuery struct {
 	part   *plan.Partition
 	feeds  []plan.Feed
@@ -106,198 +136,203 @@ type shardQuery struct {
 
 // ------------------------------------------------------------ shard group
 
-// shardGroup owns one EO's shards. All fields except the explicitly
-// synchronized ones are coordinator-owned.
+// shardGroup is the EO-goroutine-owned half of an Execution Object: the
+// scheduler loop, the route table, the inline catch-all and the hash
+// shards. All fields except the explicitly synchronized ones are touched
+// only by the EO goroutine.
 type shardGroup struct {
-	eo     *execObject
-	n      int // hash shards; shards[n] is the catch-all
-	shards []*eddyShard
-	mesh   *fjord.Mesh[*tuple.Tuple]
-	route  atomic.Pointer[routeTable]
+	eo    *execObject
+	n     int                       // hash shards; 0 when Options.Shards ≤ 1
+	pin   *eddyShard                // the catch-all (id n), hosted inline
+	hash  []*eddyShard              // hash shards 0..n-1, one goroutine each
+	mesh  *fjord.Mesh[*tuple.Tuple] // n×n exchange among the hash shards
+	route atomic.Pointer[routeTable]
 
 	rr      map[string]int // per-stream round-robin cursors
 	order   []int          // query registration order (stable rebuilds)
 	records map[int]*shardQuery
 
-	// Shard-death signalling: the first panicking shard records its
-	// cause and closes deadCh; the coordinator quarantines the group.
-	aborting  atomic.Bool
-	deadOnce  sync.Once
-	deadCh    chan struct{}
-	deadMu    sync.Mutex
-	deadCause any
-	deadStack []byte
-	deadID    int
+	// Failure signalling: the first panic (on the EO goroutine or in a
+	// hash shard) records its cause and closes failed; hash shards exit
+	// on it and the EO quarantines the group. cause and stack are written
+	// once, before failed closes.
+	failOnce sync.Once
+	failed   chan struct{}
+	cause    any
+	stack    []byte
 
-	// Coordinator-owned egress scratch.
+	// EO-goroutine scratch: the DequeueBatch buffer for eo.data, the
+	// egress drain buffer, and the per-query row slice reused while
+	// delivering runs.
+	drain     []*tuple.Tuple
 	egScratch []delivery
 	rowBuf    []*tuple.Tuple
 }
 
-type shardCmd struct {
-	kind  ctlKind
-	query *cacq.Query
-	qid   int
-	rows  []*tuple.Tuple
-	reply chan shardReply
-}
-
-type shardReply struct {
-	moved int
-	err   error
-	snap  *eoSnapshot
-	stats shardStats
-}
-
-// shardStats are one shard's plain counters (worker-owned; snapshotted
-// through the command channel, never read in place).
+// shardStats are one host's plain counters (owner-written; snapshotted
+// on the owning goroutine, never read in place).
 type shardStats struct {
-	Ingress int64 // tuples delivered by the coordinator
+	Ingress int64 // tuples delivered by the EO router
 	FwdOut  int64 // tuples repartitioned to siblings via the exchange
 	FwdIn   int64 // tuples received from siblings via the exchange
 	FwdDrop int64 // forwards dropped (destination ring closed)
-	Egress  int64 // result rows handed to the coordinator
+	Egress  int64 // result rows handed back to the EO
 }
 
-func newShardGroup(eo *execObject, n int) *shardGroup {
+func newShardGroup(eo *execObject, shards int) *shardGroup {
+	n := shards
+	if n < 2 {
+		n = 0
+	}
 	g := &shardGroup{
 		eo:        eo,
 		n:         n,
-		mesh:      fjord.NewMesh[*tuple.Tuple](n+1, exchangeRingCap),
+		mesh:      fjord.NewMesh[*tuple.Tuple](n, exchangeRingCap),
 		rr:        map[string]int{},
 		records:   map[int]*shardQuery{},
-		deadCh:    make(chan struct{}),
+		failed:    make(chan struct{}),
+		drain:     make([]*tuple.Tuple, eoDrainBatch),
 		egScratch: make([]delivery, eoDrainBatch),
 	}
 	g.route.Store(&routeTable{streams: map[string]*streamRoute{}})
-	for i := 0; i <= n; i++ {
-		sh := &eddyShard{
-			id:      i,
-			g:       g,
-			in:      fjord.NewSPSC[*tuple.Tuple](shardIngressCap),
-			cmd:     make(chan shardCmd, 16),
-			egress:  fjord.NewSPSC[delivery](egressRingCap),
-			done:    make(chan struct{}),
-			drain:   make([]*tuple.Tuple, eoDrainBatch),
-			xdrain:  make([]*tuple.Tuple, eoDrainBatch),
-			fwd:     make([][]*tuple.Tuple, n+1),
-			applied: map[string]int64{},
-		}
+	g.pin = g.newShard(n)
+	g.pin.flush = g.deliverRuns
+	for i := 0; i < n; i++ {
+		sh := g.newShard(i)
+		sh.flush = sh.publish
+		sh.in = fjord.NewSPSC[*tuple.Tuple](shardIngressCap)
+		// One command is in flight per shard (askShard waits for the
+		// reply), so a one-slot buffer never blocks the EO.
+		sh.cmd = make(chan envelope, 1)
+		sh.egress = fjord.NewSPSC[delivery](egressRingCap)
 		sh.inbound = g.mesh.Inbound(i, nil)
-		sh.engine = cacq.NewEngine(eo.x.opts.Policy(int64(eo.idx)*64+int64(i)+1), func(id int, row *tuple.Tuple) {
-			sh.out = append(sh.out, delivery{id: id, row: row})
-		})
-		sh.engine.SetCompiled(eo.compiled)
-		if b := eo.x.opts.engineBatch(eo.compiled); b > 1 {
-			sh.engine.Eddy().BatchSize = b
-		}
-		if eo.x.opts.FixedHops > 1 {
-			sh.engine.Eddy().FixedHops = eo.x.opts.FixedHops
-		}
-		g.shards = append(g.shards, sh)
+		sh.done = make(chan struct{})
+		sh.drain = make([]*tuple.Tuple, eoDrainBatch)
+		sh.xdrain = make([]*tuple.Tuple, eoDrainBatch)
+		sh.fwd = make([][]*tuple.Tuple, n)
+		sh.applied = map[string]int64{}
+		g.hash = append(g.hash, sh)
 	}
-	for _, sh := range g.shards {
+	for _, sh := range g.hash {
 		go sh.loop()
 	}
 	return g
 }
 
-// run is the coordinator loop (replaces the legacy EO scheduler when
-// sharding is on).
+// newShard creates one engine host with the executor's knobs applied.
+func (g *shardGroup) newShard(id int) *eddyShard {
+	opts := &g.eo.x.opts
+	sh := &eddyShard{id: id, g: g}
+	sh.engine = cacq.NewEngine(opts.Policy(int64(g.eo.idx)*64+int64(id)+1), func(id int, row *tuple.Tuple) {
+		sh.out = append(sh.out, delivery{id: id, row: row})
+	})
+	compiled := opts.CompiledExpr == ExprCompiled
+	sh.engine.SetCompiled(compiled)
+	sh.engine.Eddy().BatchSize = opts.engineBatch(compiled)
+	if opts.FixedHops > 1 {
+		sh.engine.Eddy().FixedHops = opts.FixedHops
+	}
+	return sh
+}
+
+// run is the EO scheduler loop: drain control, drain a batch of data
+// tuples, give the catch-all its quantum, merge hash-shard egress, idle
+// briefly when nothing is queued. Control drains first so cancellation
+// and barriers are not starved by a full data queue.
 func (g *shardGroup) run() {
 	defer close(g.eo.done)
 	idle := 0
-	for {
-		if g.step(&idle) {
-			return
-		}
+	for !g.step(&idle) {
 	}
 }
 
+// step is one scheduler turn; it reports whether the loop should exit.
+// A panic anywhere inside — the catch-all's quantum, operator code, a
+// control handler — unwinds to here and quarantines the EO (§2.4
+// motivation: partial failure must not take the engine down); a panic
+// in a hash shard reaches the same path through g.failed.
 func (g *shardGroup) step(idle *int) (exit bool) {
 	eo := g.eo
 	defer func() {
 		if r := recover(); r != nil {
-			g.quarantineGroup(r, debug.Stack())
+			g.fail(r, debug.Stack())
+			g.quarantine()
 			exit = true
 		}
 	}()
-	if g.isDead() {
-		g.deadMu.Lock()
-		cause, stack := g.deadCause, g.deadStack
-		g.deadMu.Unlock()
-		g.quarantineGroup(cause, stack)
+	if g.isFailed() {
+		g.quarantine()
 		return true
 	}
-	progressed := false
+	moved := 0
 	if env, ok := eo.ctl.TryDequeue(); ok {
 		g.control(env)
-		progressed = true
-	} else if n := eo.data.DequeueBatch(eo.drain); n > 0 {
-		g.partition(eo.drain[:n])
-		progressed = true
+		moved++
+	} else if n := eo.data.DequeueBatch(g.drain); n > 0 {
+		g.routeBatch(g.drain[:n])
+		_ = g.pin.quantum()
+		moved += n
 	}
-	if g.drainEgress() > 0 {
-		progressed = true
+	moved += g.drainEgress(g.deliverRuns)
+	if moved == 0 {
+		if eo.ctl.Closed() {
+			g.shutdown()
+			return true
+		}
+		// Idle dispatch: async modules, pending admission batches.
+		_ = g.pin.quantum()
 	}
-	if progressed {
-		*idle = 0
-		return false
-	}
-	if eo.ctl.Closed() {
-		g.shutdown()
-		return true
-	}
-	*idle++
-	if *idle > 8 {
-		time.Sleep(200 * time.Microsecond)
-	}
+	backoff(idle, moved > 0)
 	return false
 }
 
-func (g *shardGroup) isDead() bool {
+// fail records the first failure and signals it; later calls are no-ops.
+func (g *shardGroup) fail(cause any, stack []byte) {
+	g.failOnce.Do(func() {
+		g.cause, g.stack = cause, stack
+		close(g.failed)
+	})
+}
+
+func (g *shardGroup) isFailed() bool {
 	select {
-	case <-g.deadCh:
+	case <-g.failed:
 		return true
 	default:
 		return false
 	}
 }
 
-func (g *shardGroup) deadErr() error {
-	g.deadMu.Lock()
-	defer g.deadMu.Unlock()
-	return fmt.Errorf("%w: EO %d shard %d: %v", ErrQuarantined, g.eo.idx, g.deadID, g.deadCause)
+// failErr is the group's quarantine error; valid once failed is closed.
+func (g *shardGroup) failErr() error {
+	return fmt.Errorf("%w: EO %d: %v", ErrQuarantined, g.eo.idx, g.cause)
 }
 
-// partition routes one drained ingress batch. A tuple of a stream with
+// routeBatch routes one drained ingress batch. A tuple of a stream with
 // shardable readers goes to its dominant-key hash shard (round-robin
-// when keyless); a stream with pinned readers additionally delivers to
-// the catch-all — directly from the coordinator, never via the hash
-// shards, because the coordinator is the only point that still sees the
-// stream's global arrival order and the catch-all's tuple-order-driven
-// state (aggregate window closes, probe ordering) depends on it. The
-// coordinator→catch-all ring is SPSC FIFO, so that order survives.
-func (g *shardGroup) partition(batch []*tuple.Tuple) {
+// when keyless); a stream with pinned readers is additionally admitted
+// into the catch-all — right here, never via the hash shards, because
+// the EO goroutine is the only point that sees the stream's global
+// arrival order and the catch-all's tuple-order-driven state (aggregate
+// window closes, probe ordering, LIMIT prefixes) depends on it.
+func (g *shardGroup) routeBatch(batch []*tuple.Tuple) {
 	rt := g.route.Load()
 	for i, t := range batch {
 		batch[i] = nil
 		sr := rt.streams[t.Schema.Sources[0]]
 		if sr == nil {
-			tuple.Recycle(t) // no query reads this stream here (yet)
+			tuple.Recycle(t) // no query reads this stream here (anymore)
 			continue
 		}
-		if t.TS.Seq > sr.front.seq.Load() {
-			sr.front.seq.Store(t.TS.Seq) // coordinator is the sole writer
-		}
-		var pinT *tuple.Tuple
-		if sr.anyPin {
-			pinT = t
-			if sr.hashAny {
+		pinT := t
+		if len(sr.hash) > 0 {
+			if len(sr.pin) > 0 {
+				// Clone before the hash shard can retire the original.
 				pinT = t.Clone()
 			}
-		}
-		if sr.hashAny {
+			if t.TS.Seq > sr.front.seq.Load() {
+				sr.front.seq.Store(t.TS.Seq) // the EO is the sole writer
+			}
 			var dest int
 			if sr.dominant >= 0 {
 				dest = int(t.Values[sr.dominant].Hash() % uint64(g.n))
@@ -305,49 +340,52 @@ func (g *shardGroup) partition(batch []*tuple.Tuple) {
 				dest = g.rr[sr.stream] % g.n
 				g.rr[sr.stream]++
 			}
-			g.offerShard(g.shards[dest], t)
+			g.offerShard(g.hash[dest], t)
 		}
-		if pinT != nil {
-			g.offerShard(g.shards[g.n], pinT)
+		if len(sr.pin) > 0 {
+			g.pin.stats.Ingress++
+			g.pin.admit(pinT, sr.pin)
 		}
 	}
 }
 
-// offerShard enqueues into a shard's ingress ring, draining egress while
-// the ring is full so the group can never deadlock on its own output.
+// offerShard enqueues into a hash shard's ingress ring, draining egress
+// while the ring is full so the group can never deadlock on its own
+// output.
 func (g *shardGroup) offerShard(sh *eddyShard, t *tuple.Tuple) {
-	for {
-		if sh.in.TryEnqueue(t) {
-			return
-		}
-		if g.aborting.Load() || g.isDead() || sh.in.Closed() {
+	for !sh.in.TryEnqueue(t) {
+		if g.isFailed() || sh.in.Closed() {
 			tuple.Recycle(t)
 			return
 		}
-		g.drainEgress()
+		g.drainEgress(g.deliverRuns)
 		runtime.Gosched()
 	}
 }
 
-// drainEgress empties every shard's delivery ring in shard order (the
-// deterministic merge into the Hub seam) and returns rows moved.
-func (g *shardGroup) drainEgress() int {
+// drainEgress empties every hash shard's delivery ring into sink in
+// shard order (the deterministic merge into the Hub seam) and returns
+// rows moved.
+func (g *shardGroup) drainEgress(sink func([]delivery)) int {
 	total := 0
-	for _, sh := range g.shards {
+	for _, sh := range g.hash {
 		for {
 			n := sh.egress.DequeueBatch(g.egScratch)
 			if n == 0 {
 				break
 			}
 			total += n
-			g.deliverRuns(g.egScratch[:n])
+			sink(g.egScratch[:n])
 		}
 	}
 	return total
 }
 
 // deliverRuns hands deliveries to the executor in runs of consecutive
-// same-query rows (mirrors the legacy EO's flushOut batching).
+// same-query rows (engine deliveries cluster by query, so one
+// deliverBatch usually covers a whole quantum's output for a query).
+// Entries are cleared as they are taken, so a panic downstream never
+// leaves an already-delivered row behind for teardown to recycle twice.
 func (g *shardGroup) deliverRuns(pend []delivery) {
 	for i := 0; i < len(pend); {
 		id := pend[i].id
@@ -362,53 +400,61 @@ func (g *shardGroup) deliverRuns(pend []delivery) {
 	}
 }
 
-// drainEgressRecycle empties delivery rings during quarantine: the
-// group's queries are failing, so rows are retired, not delivered.
-func (g *shardGroup) drainEgressRecycle() {
-	for _, sh := range g.shards {
-		for {
-			n := sh.egress.DequeueBatch(g.egScratch)
-			if n == 0 {
-				break
-			}
-			for i := 0; i < n; i++ {
-				tuple.Recycle(g.egScratch[i].row)
-				g.egScratch[i] = delivery{}
-			}
-		}
+// recycleRuns is the quarantine-time egress sink: the group's queries
+// are failing, so rows are retired, not delivered.
+func recycleRuns(pend []delivery) {
+	for i := range pend {
+		tuple.Recycle(pend[i].row)
+		pend[i] = delivery{}
+	}
+}
+
+// recycleTuples retires whatever a scratch buffer still holds.
+func recycleTuples(buf []*tuple.Tuple) {
+	for i := range buf {
+		tuple.Recycle(buf[i])
+		buf[i] = nil
+	}
+}
+
+// recycleQueued retires everything left in a closed queue.
+func recycleQueued(q interface{ TryDequeue() (*tuple.Tuple, bool) }) {
+	for t, ok := q.TryDequeue(); ok; t, ok = q.TryDequeue() {
+		tuple.Recycle(t)
 	}
 }
 
 // ----------------------------------------------------------- control
 
 func (g *shardGroup) control(env envelope) {
-	acked := false
+	// A panic inside a handler must still release the waiting submitter
+	// before it unwinds into quarantine, or Submit/Barrier would hang on
+	// a reply that never comes.
+	replied := false
 	defer func() {
 		if r := recover(); r != nil {
-			if env.ack != nil && !acked {
-				env.ack <- fmt.Errorf("executor: EO %d panicked in control handler: %v", g.eo.idx, r)
+			if !replied {
+				env.reply <- ctlReply{err: fmt.Errorf("executor: EO %d panicked in control handler: %v", g.eo.idx, r)}
 			}
 			panic(r)
 		}
 	}()
-	var err error
+	var r ctlReply
 	switch env.ctl {
 	case ctlAddQuery:
-		err = g.addQuery(env)
+		r.err = g.addQuery(env)
 	case ctlRemoveQuery:
-		err = g.removeQuery(env.qid)
+		r.err = g.removeQuery(env.qid)
 	case ctlLoadTable:
 		// Table readers are always pinned, so loads feed the catch-all.
-		_, err = g.askShard(g.shards[g.n], shardCmd{kind: ctlLoadTable, rows: env.rows})
+		r = g.pin.handle(env)
 	case ctlBarrier:
-		err = g.barrier()
+		r.err = g.barrier()
 	case ctlStats:
-		env.snap <- g.statsMerged()
+		r.snap = g.stats()
 	}
-	if env.ack != nil {
-		acked = true
-		env.ack <- err
-	}
+	replied = true
+	env.reply <- r
 }
 
 // conflicts reports whether a shardable query's keys clash with the
@@ -434,24 +480,23 @@ func (g *shardGroup) conflicts(part *plan.Partition) bool {
 	return false
 }
 
+// addQuery registers a query on the catch-all (pinned — which is every
+// query when there are no hash shards) or on every hash shard, then
+// republishes the route table.
 func (g *shardGroup) addQuery(env envelope) error {
 	part := env.part
-	pin := part == nil || part.Pinned || g.conflicts(part)
+	pin := g.n == 0 || part == nil || part.Pinned || g.conflicts(part)
+	add := envelope{ctl: ctlAddQuery, query: env.query}
 	var err error
 	if pin {
-		_, err = g.askShard(g.shards[g.n], shardCmd{kind: ctlAddQuery, query: env.query})
+		err = g.pin.handle(add).err
 	} else {
-		var added []int
-		for i := 0; i < g.n && err == nil; i++ {
-			if _, e := g.askShard(g.shards[i], shardCmd{kind: ctlAddQuery, query: env.query}); e != nil {
-				err = e
-			} else {
-				added = append(added, i)
-			}
-		}
-		if err != nil {
-			for _, i := range added { // roll back the partial registration
-				_, _ = g.askShard(g.shards[i], shardCmd{kind: ctlRemoveQuery, qid: env.query.ID})
+		for i, sh := range g.hash {
+			if err = g.askShard(sh, add).err; err != nil {
+				for _, done := range g.hash[:i] { // roll back the partial registration
+					g.askShard(done, envelope{ctl: ctlRemoveQuery, qid: env.query.ID})
+				}
+				break
 			}
 		}
 	}
@@ -476,12 +521,13 @@ func (g *shardGroup) removeQuery(qid int) error {
 			break
 		}
 	}
+	rm := envelope{ctl: ctlRemoveQuery, qid: qid}
 	var err error
 	if rec.pinned {
-		_, err = g.askShard(g.shards[g.n], shardCmd{kind: ctlRemoveQuery, qid: qid})
+		err = g.pin.handle(rm).err
 	} else {
-		for i := 0; i < g.n; i++ {
-			if _, e := g.askShard(g.shards[i], shardCmd{kind: ctlRemoveQuery, qid: qid}); e != nil && err == nil {
+		for _, sh := range g.hash {
+			if e := g.askShard(sh, rm).err; e != nil && err == nil {
 				err = e
 			}
 		}
@@ -492,374 +538,373 @@ func (g *shardGroup) removeQuery(qid int) error {
 
 // rebuildRoute recomputes the published route table from the registered
 // queries, preserving each stream's frontier value. Stable: iteration
-// follows registration order, and conflicting keys were pinned at add
-// time, so surviving shardable queries agree on every alias's key.
+// follows registration order.
 func (g *shardGroup) rebuildRoute() {
 	old := g.route.Load()
-	type aliasAcc struct {
-		keyIdx int
-		toHash bool
-		toPin  bool
-	}
-	acc := map[string]map[string]*aliasAcc{}
-	var streamOrder []string
-	aliasOrder := map[string][]string{}
-	add := func(stream, alias string, keyIdx int, pinnedQ bool) {
-		m := acc[stream]
-		if m == nil {
-			m = map[string]*aliasAcc{}
-			acc[stream] = m
-			streamOrder = append(streamOrder, stream)
+	rt := &routeTable{streams: map[string]*streamRoute{}}
+	var order []*streamRoute
+	stream := func(name string) *streamRoute {
+		sr := rt.streams[name]
+		if sr == nil {
+			sr = &streamRoute{stream: name, dominant: -1, front: &streamFrontier{stream: name}}
+			if osr := old.streams[name]; osr != nil {
+				sr.front.seq.Store(osr.front.seq.Load())
+			}
+			rt.streams[name] = sr
+			order = append(order, sr)
 		}
-		a := m[alias]
-		if a == nil {
-			a = &aliasAcc{keyIdx: -1}
-			m[alias] = a
-			aliasOrder[stream] = append(aliasOrder[stream], alias)
-		}
-		if pinnedQ {
-			a.toPin = true
-			return
-		}
-		a.toHash = true
-		if keyIdx >= 0 {
-			a.keyIdx = keyIdx
-		}
+		return sr
 	}
 	for _, qid := range g.order {
 		rec := g.records[qid]
 		if rec.pinned {
 			for _, f := range rec.feeds {
-				add(f.Stream, f.As, -1, true)
+				sr := stream(f.Stream)
+				sr.pin = withAlias(sr.pin, f.As, -1)
 			}
 			continue
 		}
 		for _, k := range rec.part.Keys {
-			add(k.Stream, k.Alias, k.KeyIdx, false)
+			sr := stream(k.Stream)
+			sr.hash = withAlias(sr.hash, k.Alias, k.KeyIdx)
 		}
 	}
-	rt := &routeTable{streams: map[string]*streamRoute{}}
-	for _, stream := range streamOrder {
-		fr := &streamFrontier{stream: stream}
-		if osr := old.streams[stream]; osr != nil {
-			fr.seq.Store(osr.front.seq.Load())
+	for _, sr := range order {
+		if len(sr.hash) == 0 {
+			continue
 		}
-		sr := &streamRoute{stream: stream, dominant: -1, front: fr}
-		for _, alias := range aliasOrder[stream] {
-			a := acc[stream][alias]
-			fr.aliases = append(fr.aliases, alias)
-			keyIdx := -1
-			if a.toHash {
-				sr.hashAny = true
-				keyIdx = a.keyIdx
-				if keyIdx >= 0 && sr.dominant < 0 {
-					sr.dominant = keyIdx
-				}
+		for _, ar := range sr.hash {
+			sr.front.aliases = append(sr.front.aliases, ar.alias)
+			if ar.keyIdx >= 0 && sr.dominant < 0 {
+				sr.dominant = ar.keyIdx
 			}
-			if a.toPin {
-				sr.anyPin = true
-			}
-			sr.aliases = append(sr.aliases, aliasRoute{alias: alias, keyIdx: keyIdx, toHash: a.toHash, toPin: a.toPin})
 		}
-		rt.streams[stream] = sr
-		rt.frontier = append(rt.frontier, fr)
+		rt.frontier = append(rt.frontier, sr.front)
 	}
 	g.route.Store(rt)
 }
 
-// askShard sends a command and waits for its reply, staying live: while
-// the command channel is full it drains egress, and a shard death
-// releases the wait with the quarantine error.
-func (g *shardGroup) askShard(sh *eddyShard, c shardCmd) (shardReply, error) {
-	c.reply = make(chan shardReply, 1)
-	for sent := false; !sent; {
+// askShard sends a hash shard a command and waits for its reply, staying
+// live: it keeps merging egress meanwhile (a shard publishing a large
+// quiesce round must never wait on an EO that is waiting on it), and a
+// group failure releases the wait with the quarantine error.
+func (g *shardGroup) askShard(sh *eddyShard, c envelope) ctlReply {
+	c.reply = make(chan ctlReply, 1)
+	select {
+	case sh.cmd <- c:
+	case <-g.failed:
+	}
+	for {
 		select {
-		case sh.cmd <- c:
-			sent = true
-		case <-g.deadCh:
-			return shardReply{}, g.deadErr()
+		case r := <-c.reply:
+			return r
+		case <-g.failed:
+			return ctlReply{err: g.failErr()}
 		default:
-			g.drainEgress()
+			g.drainEgress(g.deliverRuns)
 			runtime.Gosched()
 		}
 	}
-	select {
-	case r := <-c.reply:
-		return r, r.err
-	case <-g.deadCh:
-		return shardReply{}, g.deadErr()
-	}
 }
 
-// barrier quiesces the whole group: rounds of (drain executor ingress →
-// per-shard quiesce in shard order → egress drain) until a full round
-// moves nothing. Shard quiesce counts exchanged tuples, so work bouncing
-// between shards keeps the barrier open until the mesh is dry.
+// barrier quiesces the whole EO: rounds of (drain executor ingress →
+// route; quiesce the inline catch-all; ask each hash shard; drain
+// egress) until a full round moves nothing. Shard quiesce counts
+// exchanged tuples, so work bouncing between shards keeps the barrier
+// open until the mesh is dry.
 func (g *shardGroup) barrier() error {
 	eo := g.eo
 	var firstErr error
 	for {
 		moved := 0
 		for {
-			n := eo.data.DequeueBatch(eo.drain)
+			n := eo.data.DequeueBatch(g.drain)
 			if n == 0 {
 				break
 			}
 			moved += n
-			g.partition(eo.drain[:n])
+			g.routeBatch(g.drain[:n])
 		}
-		g.drainEgress()
-		for _, sh := range g.shards {
-			r, err := g.askShard(sh, shardCmd{kind: ctlBarrier})
-			if err != nil {
-				return err
+		if err := g.pin.quantum(); err != nil && firstErr == nil {
+			firstErr = err
+		}
+		for _, sh := range g.hash {
+			r := g.askShard(sh, envelope{ctl: ctlBarrier})
+			if g.isFailed() {
+				return g.failErr() // nothing will quiesce anymore
 			}
 			moved += r.moved
 			if r.err != nil && firstErr == nil {
 				firstErr = r.err
 			}
-			g.drainEgress()
+			g.drainEgress(g.deliverRuns)
 		}
 		if moved == 0 && eo.data.Len() == 0 {
-			break
+			return firstErr
 		}
 	}
-	g.drainEgress()
-	return firstErr
 }
 
-// statsMerged snapshots every shard through its command channel and sums
-// the copies into one EO-level snapshot (plus the per-shard detail).
-// Concurrent scrapes are race-free: each counter is only ever read by
-// its owning shard goroutine, and only snapshots are merged.
-func (g *shardGroup) statsMerged() *eoSnapshot {
-	out := &eoSnapshot{}
-	for _, sh := range g.shards {
-		r, err := g.askShard(sh, shardCmd{kind: ctlStats})
-		if err != nil || r.snap == nil {
-			continue
+// stats snapshots the catch-all in place and every hash shard through
+// its command channel, and sums the copies into one EO-level snapshot
+// (plus the per-shard detail when there are hash shards). Concurrent
+// scrapes are race-free: each counter is only ever read by its owning
+// goroutine, and only snapshots are merged.
+func (g *shardGroup) stats() *eoSnapshot {
+	out := g.pin.handle(envelope{ctl: ctlStats}).snap
+	pinRow := out.shards
+	out.shards = nil
+	for _, sh := range g.hash {
+		r := g.askShard(sh, envelope{ctl: ctlStats})
+		if r.snap == nil {
+			continue // the group failed mid-scrape
 		}
+		r.snap.shards[0].ingressLen, r.snap.shards[0].egressLen = sh.in.Len(), sh.egress.Len()
 		mergeSnapshot(out, r.snap)
-		out.shards = append(out.shards, shardSnapshot{
-			id:         sh.id,
-			catchAll:   sh.id == g.n,
-			eddy:       r.snap.eddy,
-			engine:     r.snap.engine,
-			stats:      r.stats,
-			ingressLen: sh.in.Len(),
-			egressLen:  sh.egress.Len(),
-		})
+	}
+	if g.n > 0 {
+		out.shards = append(out.shards, pinRow...)
 	}
 	return out
 }
 
 // shutdown runs after the executor closes the EO's queues: quiesce so
-// queued work drains (the legacy EO drains before exit too), then tear
-// the shards down.
+// queued work drains, then end the hash shards.
 func (g *shardGroup) shutdown() {
-	_ = g.barrier() // best effort; a dead shard aborts below
-	for _, sh := range g.shards {
+	_ = g.barrier() // best effort; a failed group aborts below
+	g.stopShards(g.deliverRuns)
+}
+
+// stopShards ends the hash shards: close their rings, wait for each
+// goroutine while draining its egress into sink (a shard blocked
+// publishing results can then always finish), and recycle whatever is
+// still queued between shards.
+func (g *shardGroup) stopShards(sink func([]delivery)) {
+	for _, sh := range g.hash {
 		sh.in.Close()
 	}
 	g.mesh.CloseAll()
-	for _, sh := range g.shards {
-		g.waitShard(sh)
-	}
-	g.drainEgress()
-	g.mesh.DrainAll(tuple.Recycle)
-}
-
-func (g *shardGroup) waitShard(sh *eddyShard) {
-	for {
-		select {
-		case <-sh.done:
-			return
-		default:
-			g.drainEgress()
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-}
-
-// shardPanic runs on the panicking shard's goroutine: record the cause,
-// signal the coordinator, and release queued command waiters so nothing
-// hangs on a reply that will never come.
-func (g *shardGroup) shardPanic(sh *eddyShard, cause any, stack []byte) {
-	g.deadMu.Lock()
-	if g.deadCause == nil {
-		g.deadCause, g.deadStack, g.deadID = cause, stack, sh.id
-	}
-	g.deadMu.Unlock()
-	g.deadOnce.Do(func() { close(g.deadCh) })
-	for {
-		select {
-		case c := <-sh.cmd:
-			if c.reply != nil {
-				c.reply <- shardReply{err: g.deadErr()}
-			}
-		default:
-			return
-		}
-	}
-}
-
-// quarantineGroup retires the whole shard group after a panic (in a
-// shard or in the coordinator itself): admission stops, sibling shards
-// exit cleanly (they are victims, not culprits — but they host the same
-// queries, so the group fails as a unit), queued work is recycled, and
-// the EO's queries fail exactly as in the single-shard quarantine path.
-// Other EOs keep running.
-func (g *shardGroup) quarantineGroup(cause any, stack []byte) {
-	eo := g.eo
-	eo.dead.Store(true)
-	g.aborting.Store(true)
-	g.deadOnce.Do(func() { close(g.deadCh) })
-	err := fmt.Errorf("%w: EO %d: %v", ErrQuarantined, eo.idx, cause)
-	fmt.Fprintf(os.Stderr, "telegraphcq: %v\n%s", err, stack)
-
-	eo.data.Close()
-	eo.ctl.Close()
-	for _, sh := range g.shards {
-		sh.in.Close()
-	}
-	g.mesh.CloseAll()
-	// Wait for the surviving shards, recycling egress so a shard blocked
-	// publishing results can always finish its abort check.
-	for _, sh := range g.shards {
+	idle := 0
+	for _, sh := range g.hash {
 		for exited := false; !exited; {
 			select {
 			case <-sh.done:
 				exited = true
 			default:
-				g.drainEgressRecycle()
-				runtime.Gosched()
+				backoff(&idle, g.drainEgress(sink) > 0)
 			}
 		}
 	}
-	g.drainEgressRecycle()
-	for i := range eo.drain {
-		if eo.drain[i] != nil {
-			tuple.Recycle(eo.drain[i])
-			eo.drain[i] = nil
-		}
-	}
-	for {
-		t, ok := eo.data.TryDequeue()
-		if !ok {
-			break
-		}
-		tuple.Recycle(t)
-	}
-	for _, sh := range g.shards {
-		for {
-			t, ok := sh.in.TryDequeue()
-			if !ok {
-				break
-			}
-			tuple.Recycle(t)
-		}
+	g.drainEgress(sink)
+	for _, sh := range g.hash {
+		recycleQueued(sh.in)
 	}
 	g.mesh.DrainAll(tuple.Recycle)
+}
+
+// quarantine retires the EO after a panic (on the EO goroutine or in a
+// hash shard): admission stops, the hash shards exit (siblings of a
+// panicking shard are victims, not culprits — but they host the same
+// queries, so the group fails as a unit), queued work is recycled,
+// waiting control senders are released, and the EO's queries fail with
+// an error wrapping ErrQuarantined. Other EOs — and therefore all
+// queries in other classes — keep running. Runs on the EO goroutine,
+// immediately before it exits.
+func (g *shardGroup) quarantine() {
+	eo := g.eo
+	eo.dead.Store(true)
+	err := g.failErr()
+	fmt.Fprintf(os.Stderr, "telegraphcq: %v\n%s", err, g.stack)
+
+	// Stop admission, then retire everything already queued: the hash
+	// tier, the drain scratch (a panic mid-batch leaves its tail
+	// unprocessed), the data queue, and the catch-all's buffered
+	// deliveries.
+	eo.data.Close()
+	eo.ctl.Close()
+	g.stopShards(recycleRuns)
+	recycleTuples(g.drain)
+	recycleQueued(eo.data)
+	g.pin.teardown()
+	// Release queued control senders (Submit, Barrier, scrapes) with the
+	// quarantine error so nothing deadlocks on a dead EO.
 	for {
 		env, ok := eo.ctl.TryDequeue()
 		if !ok {
 			break
 		}
-		if env.ack != nil {
-			env.ack <- err
-		}
-		if env.snap != nil {
-			close(env.snap)
-		}
+		env.reply <- ctlReply{err: err}
 	}
 	eo.x.failEO(eo, err)
 }
 
 // ------------------------------------------------------------- shard
 
-// eddyShard is one shard: a goroutine owning a private CACQ engine, an
-// ingress SPSC ring fed by the coordinator, the exchange rings of its
-// row/column of the mesh, and an egress ring the coordinator drains.
+// eddyShard is one engine host: a private CACQ engine (its own eddy,
+// SteMs, grouped filters and batch freelist) plus the delivery buffer
+// its quanta fill. Hosts differ only in where their input comes from
+// and where out is flushed: the catch-all is fed and flushed by the EO
+// goroutine that hosts it; a hash shard runs loop on its own goroutine
+// between an ingress ring, its row/column of the exchange mesh, and an
+// egress ring the EO drains.
 type eddyShard struct {
-	id      int
-	g       *shardGroup
-	engine  *cacq.Engine
+	id     int
+	g      *shardGroup
+	engine *cacq.Engine
+	out    []delivery
+	flush  func([]delivery) // deliverRuns (catch-all) or publish (hash shard)
+	stats  shardStats
+
+	// Hash shards only: rings, command channel and goroutine-owned
+	// scratch (never shared).
 	in      *fjord.SPSC[*tuple.Tuple]
-	cmd     chan shardCmd
+	cmd     chan envelope
 	egress  *fjord.SPSC[delivery]
 	inbound []*fjord.SPSC[*tuple.Tuple]
 	done    chan struct{}
-
-	// Worker-owned scratch (never shared).
 	drain   []*tuple.Tuple
 	xdrain  []*tuple.Tuple
-	out     []delivery
 	fwd     [][]*tuple.Tuple
-	dests   []destAlias
 	applied map[string]int64
-	stats   shardStats
 }
 
-type destAlias struct {
-	dest  int
-	alias string
+// admit pushes one tuple into the dataflow under every alias in aliases
+// (this host's tier of the stream's route): aliases keyed to another
+// hash shard are repartitioned through the exchange, the rest enter this
+// host's engine.
+func (sh *eddyShard) admit(t *tuple.Tuple, aliases []aliasRoute) {
+	src := t.Schema.Sources[0]
+	if sh.g.eo.x.opts.Chaos.PanicFor(src) {
+		panic(fmt.Sprintf("chaos: injected operator panic on stream %s (EO %d shard %d)", src, sh.g.eo.idx, sh.id))
+	}
+	if len(aliases) == 1 && aliases[0].alias == src {
+		// Common fast path: one destination, no rename — move the
+		// original without cloning.
+		sh.place(t, aliases[0].keyIdx)
+		return
+	}
+	for _, ar := range aliases {
+		tt := t.Clone()
+		if ar.alias != src {
+			tt.Schema = t.Schema.RenameShared(ar.alias)
+		}
+		sh.place(tt, ar.keyIdx)
+	}
+	tuple.Recycle(t) // every alias got a clone (or nobody reads it anymore)
 }
+
+// place admits t locally or forwards it to the hash shard keyIdx maps
+// it to.
+func (sh *eddyShard) place(t *tuple.Tuple, keyIdx int) {
+	if keyIdx >= 0 {
+		if d := int(t.Values[keyIdx].Hash() % uint64(sh.g.n)); d != sh.id {
+			sh.forward(d, t)
+			return
+		}
+	}
+	_ = sh.engine.Push(t)
+}
+
+// quantum gives the engine a quantum and flushes the result rows it
+// buffered.
+func (sh *eddyShard) quantum() error {
+	err := sh.engine.Run()
+	if len(sh.out) > 0 {
+		sh.stats.Egress += int64(len(sh.out))
+		sh.flush(sh.out)
+		sh.out = sh.out[:0]
+	}
+	return err
+}
+
+// handle executes one control command on the goroutine that owns the
+// engine.
+func (sh *eddyShard) handle(c envelope) ctlReply {
+	var r ctlReply
+	switch c.ctl {
+	case ctlAddQuery:
+		r.err = sh.engine.AddQuery(c.query)
+	case ctlRemoveQuery:
+		sh.engine.RemoveQuery(c.qid)
+	case ctlLoadTable:
+		for _, row := range c.rows {
+			if e := sh.engine.Push(row); e != nil && r.err == nil {
+				r.err = e
+			}
+		}
+		if e := sh.quantum(); e != nil && r.err == nil {
+			r.err = e
+		}
+	case ctlBarrier:
+		// One quiesce round of a hash shard (the EO quiesces its inline
+		// catch-all itself): drain exchange and ingress, run the engine
+		// to idle, flush outbound. The EO loops rounds until every shard
+		// reports zero movement.
+		r.moved = sh.drainExchange()
+		sh.syncFrontier()
+		for n := sh.pullIngress(); n > 0; n = sh.pullIngress() {
+			r.moved += n
+		}
+		r.err = sh.quantum()
+		r.moved += sh.flushForwards()
+	case ctlStats:
+		r.snap = snapshotEngine(sh.engine)
+		r.snap.shards = []shardSnapshot{{
+			id: sh.id, catchAll: sh == sh.g.pin,
+			eddy: r.snap.eddy, engine: r.snap.engine, stats: sh.stats,
+		}}
+	}
+	return r
+}
+
+// teardown recycles host-owned buffers on exit (they are empty on a
+// clean shutdown; on abort they may hold in-flight tuples).
+func (sh *eddyShard) teardown() {
+	recycleTuples(sh.drain)
+	recycleTuples(sh.xdrain)
+	for dest := range sh.fwd {
+		recycleTuples(sh.fwd[dest])
+		sh.fwd[dest] = nil
+	}
+	recycleRuns(sh.out)
+	sh.out = sh.out[:0]
+}
+
+// ------------------------------------------------- hash-shard goroutine
 
 func (sh *eddyShard) loop() {
 	defer close(sh.done)
+	defer sh.teardown()
 	idle := 0
-	for {
-		if sh.g.aborting.Load() {
-			sh.teardown()
-			return
-		}
-		if sh.step(&idle) {
-			sh.teardown()
-			return
-		}
+	for !sh.g.isFailed() && !sh.step(&idle) {
 	}
 }
 
+// step is one turn of a hash shard: handle a command, pull exchange and
+// ingress, run a quantum, flush outbound. A panic fails the whole group.
 func (sh *eddyShard) step(idle *int) (exit bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			sh.g.shardPanic(sh, r, debug.Stack())
+			sh.g.fail(fmt.Sprintf("shard %d: %v", sh.id, r), debug.Stack())
 			exit = true
 		}
 	}()
-	progressed := false
+	moved := 0
 	select {
 	case c := <-sh.cmd:
-		sh.handle(c)
-		progressed = true
+		c.reply <- sh.handle(c)
+		moved++
 	default:
 	}
-	if sh.drainExchange() > 0 {
-		progressed = true
-	}
+	moved += sh.drainExchange()
 	sh.syncFrontier()
-	if n := sh.in.DequeueBatch(sh.drain); n > 0 {
-		sh.stats.Ingress += int64(n)
-		for i := 0; i < n; i++ {
-			t := sh.drain[i]
-			sh.drain[i] = nil
-			sh.process(t)
-		}
-		progressed = true
-	}
-	_ = sh.runEngine()
+	moved += sh.pullIngress()
+	_ = sh.quantum()
 	sh.flushForwards()
-	if progressed {
-		*idle = 0
-		return false
-	}
-	if sh.in.Closed() && sh.in.Len() == 0 && sh.exchangeDry() {
+	if moved == 0 && sh.in.Closed() && sh.in.Len() == 0 && sh.exchangeDry() {
 		return true
 	}
-	*idle++
-	if *idle > 8 {
-		time.Sleep(200 * time.Microsecond)
-	}
+	backoff(idle, moved > 0)
 	return false
 }
 
@@ -874,63 +919,29 @@ func (sh *eddyShard) exchangeDry() bool {
 	return true
 }
 
-func (sh *eddyShard) handle(c shardCmd) {
-	var r shardReply
-	switch c.kind {
-	case ctlAddQuery:
-		r.err = sh.engine.AddQuery(c.query)
-	case ctlRemoveQuery:
-		sh.engine.RemoveQuery(c.qid)
-	case ctlLoadTable:
-		for _, row := range c.rows {
-			if e := sh.engine.Push(row); e != nil && r.err == nil {
-				r.err = e
-			}
+// pullIngress admits one drain batch from the ingress ring under the
+// stream's hash-tier aliases and returns its size.
+func (sh *eddyShard) pullIngress() int {
+	n := sh.in.DequeueBatch(sh.drain)
+	sh.stats.Ingress += int64(n)
+	rt := sh.g.route.Load()
+	for i := 0; i < n; i++ {
+		t := sh.drain[i]
+		sh.drain[i] = nil
+		var aliases []aliasRoute
+		if sr := rt.streams[t.Schema.Sources[0]]; sr != nil {
+			aliases = sr.hash
 		}
-		if e := sh.runEngine(); e != nil && r.err == nil {
-			r.err = e
-		}
-		sh.flushForwards()
-	case ctlBarrier:
-		// One quiesce round: drain exchange and ingress, run the engine
-		// to idle, flush outbound. The coordinator loops rounds until
-		// every shard reports zero movement.
-		r.moved += sh.drainExchange()
-		sh.syncFrontier()
-		for {
-			n := sh.in.DequeueBatch(sh.drain)
-			if n == 0 {
-				break
-			}
-			sh.stats.Ingress += int64(n)
-			r.moved += n
-			for i := 0; i < n; i++ {
-				t := sh.drain[i]
-				sh.drain[i] = nil
-				sh.process(t)
-			}
-		}
-		r.err = sh.runEngine()
-		r.moved += sh.flushForwards()
-	case ctlStats:
-		r.snap = snapshotEngine(sh.engine)
-		r.stats = sh.stats
+		sh.admit(t, aliases)
 	}
-	if c.reply != nil {
-		c.reply <- r
-	}
+	return n
 }
 
-// syncFrontier applies the coordinator's per-stream sequence frontier so
-// this shard's eviction horizons match a single-shard engine's. The
-// catch-all never needs it: every stream it has state for is delivered
-// to it in full, in global order, so its own maxSeq is already exact —
-// and advancing it early would evict ahead of tuples still queued on
-// its ingress ring.
+// syncFrontier applies the EO's per-stream sequence frontier so this
+// hash shard's eviction horizons match an unsharded engine's. (The
+// catch-all never needs it: every stream it has state for is admitted
+// to it in full, in global order, so its own maxSeq is already exact.)
 func (sh *eddyShard) syncFrontier() {
-	if sh.id == sh.g.n {
-		return
-	}
 	rt := sh.g.route.Load()
 	for _, f := range rt.frontier {
 		v := f.seq.Load()
@@ -963,69 +974,6 @@ func (sh *eddyShard) drainExchange() int {
 		}
 	}
 	return total
-}
-
-// process applies the per-alias routing of one ingress tuple: aliases
-// whose key matches the arrival shard are admitted locally; aliases
-// keyed differently are repartitioned through the exchange; aliases with
-// pinned readers are forwarded to the catch-all.
-func (sh *eddyShard) process(t *tuple.Tuple) {
-	src := t.Schema.Sources[0]
-	if sh.g.eo.x.opts.Chaos.PanicFor(src) {
-		panic(fmt.Sprintf("chaos: injected operator panic on stream %s (EO %d shard %d)", src, sh.g.eo.idx, sh.id))
-	}
-	rt := sh.g.route.Load()
-	sr := rt.streams[src]
-	if sr == nil {
-		tuple.Recycle(t)
-		return
-	}
-	// Role split: the coordinator already fans each tuple out between
-	// the hash tier and the catch-all (see partition), so a hash shard
-	// serves only the shardable aliases and the catch-all only the
-	// pinned ones — always locally, in coordinator order.
-	sh.dests = sh.dests[:0]
-	for _, ar := range sr.aliases {
-		if sh.id == sh.g.n {
-			if ar.toPin {
-				sh.dests = append(sh.dests, destAlias{dest: sh.id, alias: ar.alias})
-			}
-			continue
-		}
-		if ar.toHash {
-			d := sh.id
-			if ar.keyIdx >= 0 {
-				d = int(t.Values[ar.keyIdx].Hash() % uint64(sh.g.n))
-			}
-			sh.dests = append(sh.dests, destAlias{dest: d, alias: ar.alias})
-		}
-	}
-	switch {
-	case len(sh.dests) == 0:
-		tuple.Recycle(t)
-		return
-	case len(sh.dests) == 1 && sh.dests[0].alias == src:
-		// Common fast path: one destination, no rename — move the
-		// original without cloning.
-		if d := sh.dests[0].dest; d == sh.id {
-			_ = sh.engine.Push(t)
-		} else {
-			sh.forward(d, t)
-		}
-		return
-	}
-	for _, da := range sh.dests {
-		tt := t.Clone()
-		if da.alias != src {
-			tt.Schema = t.Schema.RenameShared(da.alias)
-		}
-		if da.dest == sh.id {
-			_ = sh.engine.Push(tt)
-		} else {
-			sh.forward(da.dest, tt)
-		}
-	}
-	tuple.Recycle(t)
 }
 
 // forward buffers one tuple for the exchange ring to dest, flushing when
@@ -1063,7 +1011,7 @@ func (sh *eddyShard) flushTo(dest int) int {
 			sent += n
 			continue
 		}
-		if sh.g.aborting.Load() || ring.Closed() {
+		if sh.g.isFailed() || ring.Closed() {
 			for _, t := range buf[sent:] {
 				tuple.Recycle(t)
 				sh.stats.FwdDrop++
@@ -1081,65 +1029,25 @@ func (sh *eddyShard) flushTo(dest int) int {
 	return sent
 }
 
-// runEngine gives the shard engine a quantum and publishes its buffered
-// deliveries onto the egress ring.
-func (sh *eddyShard) runEngine() error {
-	err := sh.engine.Run()
-	if len(sh.out) > 0 {
-		sh.flushOut()
-	}
-	return err
-}
-
-func (sh *eddyShard) flushOut() {
+// publish is a hash shard's flush: it moves buffered deliveries onto the
+// egress ring, keeping its inbound exchange moving while the EO is
+// behind.
+func (sh *eddyShard) publish(pend []delivery) {
 	sent := 0
-	for sent < len(sh.out) {
-		n := sh.egress.TryEnqueueBatch(sh.out[sent:])
+	for sent < len(pend) {
+		n := sh.egress.TryEnqueueBatch(pend[sent:])
 		if n > 0 {
-			sh.stats.Egress += int64(n)
 			sent += n
 			continue
 		}
-		if sh.g.aborting.Load() {
-			for _, d := range sh.out[sent:] {
-				tuple.Recycle(d.row)
-			}
+		if sh.g.isFailed() {
+			recycleRuns(pend[sent:])
 			break
 		}
-		// Coordinator is behind; keep our inbound moving meanwhile.
 		sh.drainExchange()
 		runtime.Gosched()
 	}
-	for i := range sh.out {
-		sh.out[i] = delivery{}
+	for i := range pend {
+		pend[i] = delivery{}
 	}
-	sh.out = sh.out[:0]
-}
-
-// teardown recycles worker-owned buffers on exit (they are empty on a
-// clean shutdown; on abort they may hold in-flight tuples).
-func (sh *eddyShard) teardown() {
-	for i := range sh.drain {
-		if sh.drain[i] != nil {
-			tuple.Recycle(sh.drain[i])
-			sh.drain[i] = nil
-		}
-	}
-	for i := range sh.xdrain {
-		if sh.xdrain[i] != nil {
-			tuple.Recycle(sh.xdrain[i])
-			sh.xdrain[i] = nil
-		}
-	}
-	for dest := range sh.fwd {
-		for _, t := range sh.fwd[dest] {
-			tuple.Recycle(t)
-		}
-		sh.fwd[dest] = nil
-	}
-	for i := range sh.out {
-		tuple.Recycle(sh.out[i].row)
-		sh.out[i] = delivery{}
-	}
-	sh.out = sh.out[:0]
 }

@@ -1,15 +1,15 @@
 package executor
 
 import (
-	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"telegraphcq/internal/catalog"
-	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/egress"
 	"telegraphcq/internal/tuple"
 )
@@ -185,11 +185,11 @@ func TestShardedPinnedAggregate(t *testing.T) {
 	}
 }
 
-// TestWithShardsClause drives sharding purely from SQL.
-func TestWithShardsClause(t *testing.T) {
-	x := New(newCat(t), Options{SampleInterval: -1})
+// TestShardsOption checks Options.Shards reaches the EO a query creates.
+func TestShardsOption(t *testing.T) {
+	x := New(newCat(t), Options{Shards: 3, SampleInterval: -1})
 	defer x.Close()
-	_, sub := submit(t, x, `SELECT sym, price FROM stocks WHERE price > 50 WITH (shards=3)`)
+	_, sub := submit(t, x, `SELECT sym, price FROM stocks WHERE price > 50`)
 	if x.EOCount() != 1 {
 		t.Fatalf("EOs = %d", x.EOCount())
 	}
@@ -209,143 +209,266 @@ func TestWithShardsClause(t *testing.T) {
 	}
 }
 
-// TestShardPanicQuarantinesGroupOnly injects an operator panic inside
-// one shard of a sharded EO and verifies the blast radius: the group's
-// query dies with a diagnosable error while a sibling EO (different
-// footprint) keeps delivering, and Barrier/Close stay usable.
-func TestShardPanicQuarantinesGroupOnly(t *testing.T) {
-	x := New(newCat(t), Options{
-		Mode:           ClassByFootprint,
-		Shards:         4,
-		SampleInterval: -1,
-		Chaos:          chaos.New(chaos.Config{Seed: 3, PanicStream: "stocks"}),
-	})
-	defer x.Close()
-	idStocks, subStocks := submit(t, x, `SELECT sym, price FROM stocks`)
-	idNews, subNews := submit(t, x, `SELECT sym, score FROM news`)
-	if x.EOCount() != 2 {
-		t.Fatalf("EOCount=%d, want 2", x.EOCount())
-	}
+// TestStatsConcurrentScrape hammers the telemetry seam while a workload
+// runs, with and without hash shards: metric scrapes and system-stream
+// sampling from multiple goroutines must stay race-free (each host's
+// counters are only read by the goroutine that owns it; scrapers see
+// merged snapshots).
+func TestStatsConcurrentScrape(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			x := New(newCat(t), Options{Shards: shards, SampleInterval: -1})
+			defer x.Close()
+			_, sub := submit(t, x, `
+				SELECT stocks.sym, price, score FROM stocks, news
+				WHERE stocks.sym = news.sym
+				for (t = ST; ; t += 1) { WindowIs(stocks, t - 3, t); WindowIs(news, t - 3, t); }`)
 
-	for i := 0; i < 5; i++ {
-		if _, err := x.Push("stocks", []tuple.Value{tuple.String("S"), tuple.Float(float64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for x.Quarantines() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("timed out waiting for the shard group to quarantine")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := x.QueryErr(idStocks); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("QueryErr(stocks)=%v, want ErrQuarantined", err)
-	}
-	if err := subStocks.Err(); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("subscription Err=%v, want ErrQuarantined", err)
-	}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < 3; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							x.SampleSystemStreams()
+							_ = x.Metrics().Gather()
+						}
+					}
+				}()
+			}
+			syms := []string{"A", "B", "C", "D"}
+			for i := 0; i < 300; i++ {
+				if _, err := x.Push("stocks", []tuple.Value{tuple.String(syms[i%4]), tuple.Float(float64(i))}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := x.Push("news", []tuple.Value{tuple.String(syms[i%4]), tuple.Float(float64(i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := x.Barrier(); err != nil {
+				t.Fatal(err)
+			}
+			close(stop)
+			wg.Wait()
 
-	// The sibling EO's query (its own shard group) is untouched.
-	for i := 0; i < 10; i++ {
-		if _, err := x.Push("news", []tuple.Value{tuple.String("N"), tuple.Float(float64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := len(drainKeys(t, x, subNews))
-	if got != 10 {
-		t.Fatalf("news delivered %d of 10 after sibling shard-group quarantine", got)
-	}
-	if err := x.QueryErr(idNews); err != nil {
-		t.Fatalf("QueryErr(news)=%v, want nil", err)
-	}
-	if err := x.Barrier(); err != nil {
-		t.Fatalf("barrier after quarantine: %v", err)
-	}
-	if err := x.Cancel(idStocks); err != nil {
-		t.Fatalf("cancel quarantined query: %v", err)
+			// The merged snapshot surfaces per-shard series exactly when
+			// there are hash shards, and EO-level engine totals always.
+			var shardIngress, pushed float64
+			for _, s := range x.Metrics().Gather() {
+				switch s.Name {
+				case "tcq_shard_ingress_total":
+					shardIngress += s.Value
+				case "tcq_engine_pushed_total":
+					pushed += s.Value
+				}
+			}
+			if pushed != 600 {
+				t.Fatalf("tcq_engine_pushed_total = %v, want 600", pushed)
+			}
+			if want := 600.0 * float64(shards) / 2; shardIngress != want {
+				t.Fatalf("tcq_shard_ingress_total = %v, want %v", shardIngress, want)
+			}
+			for _, r := range drain(t, x, sub) {
+				tuple.Recycle(r)
+			}
+		})
 	}
 }
 
-// TestShardedStatsConcurrentScrape hammers the telemetry seam while a
-// sharded workload runs: metric scrapes and system-stream sampling from
-// multiple goroutines must stay race-free (each shard's counters are
-// only read by the shard itself; scrapers see merged snapshots).
-func TestShardedStatsConcurrentScrape(t *testing.T) {
-	x := New(newCat(t), Options{Shards: 4, SampleInterval: -1})
-	defer x.Close()
-	_, sub := submit(t, x, `
-		SELECT stocks.sym, price, score FROM stocks, news
-		WHERE stocks.sym = news.sym
-		for (t = ST; ; t += 1) { WindowIs(stocks, t - 3, t); WindowIs(news, t - 3, t); }`)
+// stocksRoute names the aliases the first EO's thread admits the stocks
+// stream under (catch-all tier), straight from its published route table.
+func stocksRoute(x *Executor) []string {
+	x.mu.Lock()
+	eo := x.eos[0]
+	x.mu.Unlock()
+	var names []string
+	if sr := eo.group.route.Load().streams["stocks"]; sr != nil {
+		for _, ar := range sr.pin {
+			names = append(names, ar.alias)
+		}
+	}
+	return names
+}
 
+// TestCancelledAliasLeavesRoute pins a defect of the old single-engine
+// EO: its alias fan-out list only ever grew, so a cancelled aliased
+// query (FROM stocks AS a7) cost one clone + schema rename per tuple
+// forever. The EO thread now routes by a table rebuilt on remove too.
+func TestCancelledAliasLeavesRoute(t *testing.T) {
+	// ClassSingle: footprints are alias sets, so by default each alias
+	// of stocks would get an EO of its own.
+	x := New(newCat(t), Options{Mode: ClassSingle, SampleInterval: -1})
+	defer x.Close()
+	_, keep := submit(t, x, `SELECT sym FROM stocks`)
+	var ids []int
+	for i := 0; i < 3; i++ {
+		id, _ := submit(t, x, fmt.Sprintf(`SELECT a%d.sym FROM stocks AS a%d`, i, i))
+		ids = append(ids, id)
+	}
+	if x.EOCount() != 1 {
+		t.Fatalf("EOs = %d, want 1", x.EOCount())
+	}
+	if got := fmt.Sprint(stocksRoute(x)); got != "[stocks a0 a1 a2]" {
+		t.Fatalf("route before cancel = %s", got)
+	}
+	for _, id := range ids {
+		if err := x.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprint(stocksRoute(x)); got != "[stocks]" {
+		t.Fatalf("route after cancel = %s, want [stocks]", got)
+	}
+	// Observable from outside too: the engine is pushed one tuple per
+	// row, not one per alias that ever existed.
+	pushed := func() (n float64) {
+		for _, s := range x.Metrics().Gather() {
+			if s.Name == "tcq_engine_pushed_total" {
+				n += s.Value
+			}
+		}
+		return n
+	}
+	before := pushed()
+	pushN(t, x, 10)
+	if got := len(drain(t, x, keep)); got != 10 {
+		t.Fatalf("surviving query delivered %d of 10", got)
+	}
+	if got := pushed() - before; got != 10 {
+		t.Fatalf("engine pushed %v tuples for 10 rows", got)
+	}
+}
+
+// TestSubmitCancelWhilePushing churns aliased queries on one EO while
+// another goroutine pushes the stream they read. The old EO read its
+// alias map on the EO goroutine while Submit wrote it under the
+// executor lock; run under -race this is the regression test for that.
+func TestSubmitCancelWhilePushing(t *testing.T) {
+	x := New(newCat(t), Options{Mode: ClassSingle, SampleInterval: -1})
+	defer x.Close()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					x.SampleSystemStreams()
-					_ = x.Metrics().Gather()
-				}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
-	}
-	syms := []string{"A", "B", "C", "D"}
-	for i := 0; i < 300; i++ {
-		if _, err := x.Push("stocks", []tuple.Value{tuple.String(syms[i%4]), tuple.Float(float64(i))}); err != nil {
+			if _, err := x.Push("stocks", []tuple.Value{tuple.String("S"), tuple.Float(float64(i))}); err != nil {
+				t.Error(err)
+				return
+			}
+			runtime.Gosched() // on one P, let the EO and the submitter run
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		// Prices are never negative, so no query ever has output rows.
+		id, sub := submit(t, x, fmt.Sprintf(`SELECT z%d.sym FROM stocks AS z%d WHERE z%d.price < 0`, i, i, i))
+		if err := x.Cancel(id); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := x.Push("news", []tuple.Value{tuple.String(syms[i%4]), tuple.Float(float64(i))}); err != nil {
-			t.Fatal(err)
+		if _, ok := sub.TryNext(); ok {
+			t.Fatalf("query %d delivered a row", id)
 		}
-	}
-	if err := x.Barrier(); err != nil {
-		t.Fatal(err)
 	}
 	close(stop)
 	wg.Wait()
-
-	// The merged snapshot must surface per-shard series.
-	found := false
-	for _, s := range x.Metrics().Gather() {
-		if s.Name == "tcq_shard_ingress_total" && s.Value > 0 {
-			found = true
-			break
-		}
+	if err := x.Barrier(); err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatal("tcq_shard_ingress_total not reported for the sharded EO")
-	}
-	for _, r := range drain(t, x, sub) {
-		tuple.Recycle(r)
+	if got := stocksRoute(x); len(got) != 0 {
+		t.Fatalf("route after churn = %v, want none", got)
 	}
 }
 
-// TestShardedCancelAndResubmit exercises route-table rebuilds: removing
-// a query and adding another on the same sharded EO keeps delivering.
-func TestShardedCancelAndResubmit(t *testing.T) {
-	x := New(newCat(t), Options{Shards: 2, SampleInterval: -1})
-	defer x.Close()
-	id1, sub1 := submit(t, x, `SELECT sym FROM stocks WHERE price > 10`)
-	pushStocks(t, x, [2]any{"A", 50.0}, [2]any{"B", 5.0})
-	if got := len(drainKeys(t, x, sub1)); got != 1 {
-		t.Fatalf("rows = %d, want 1", got)
+// eoGoroutines counts live goroutines started by newEO (the EO
+// scheduler) and by newShardGroup (hash shards).
+func eoGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "created by telegraphcq/internal/executor.(*Executor).newEO") +
+		strings.Count(string(buf), "created by telegraphcq/internal/executor.newShardGroup")
+}
+
+// TestUnshardedEOIsOneGoroutine checks the zero-hash-shard case is
+// exactly the one-thread EO of the paper: Shards ≤ 1 starts one
+// goroutine and reports no tcq_shards rows or tcq_shard_* series, while
+// Shards = 2 adds one goroutine and one row per hash shard plus the
+// catch-all's row.
+func TestUnshardedEOIsOneGoroutine(t *testing.T) {
+	for _, tc := range []struct{ shards, goroutines, rows int }{
+		{0, 1, 0}, {1, 1, 0}, {2, 3, 3},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			// Earlier tests' EOs have exited by the time their Close returned.
+			base := eoGoroutines()
+			x := New(newCat(t), Options{Mode: ClassSingle, Shards: tc.shards, SampleInterval: -1})
+			defer x.Close()
+			submit(t, x, `SELECT sym FROM stocks`)
+			if got := eoGoroutines() - base; got != tc.goroutines {
+				t.Fatalf("EO started %d goroutines, want %d", got, tc.goroutines)
+			}
+			_, rows := submit(t, x, `SELECT eo, shard, catch_all FROM tcq_shards`)
+			x.SampleSystemStreams()
+			if got := len(drain(t, x, rows)); got != tc.rows {
+				t.Fatalf("tcq_shards rows = %d, want %d", got, tc.rows)
+			}
+			series := 0
+			for _, s := range x.Metrics().Gather() {
+				if strings.HasPrefix(s.Name, "tcq_shard_") {
+					series++
+				}
+			}
+			if (series > 0) != (tc.rows > 0) {
+				t.Fatalf("tcq_shard_* series = %d with %d shard rows", series, tc.rows)
+			}
+		})
 	}
-	if err := x.Cancel(id1); err != nil {
+}
+
+// TestBarrierMergesEgressWhileShardQuiesces makes one quiesce round of
+// one hash shard produce more result rows than its egress ring holds
+// (one stocks tuple probing 9000 same-key news tuples). The EO must keep
+// merging egress while it waits for the shard's reply, or each waits on
+// the other forever.
+func TestBarrierMergesEgressWhileShardQuiesces(t *testing.T) {
+	const n = egressRingCap + 808
+	x := New(newCat(t), Options{Shards: 2, SubscriptionCap: 2 * n, QueueCap: 2 * n, SampleInterval: -1})
+	defer x.Close()
+	_, sub := submit(t, x, fmt.Sprintf(`
+		SELECT stocks.sym, score FROM stocks, news
+		WHERE stocks.sym = news.sym
+		for (t = ST; ; t += 1) { WindowIs(stocks, t - %d, t); WindowIs(news, t - %d, t); }`, 4*n, 4*n))
+	rows := make([][]tuple.Value, n)
+	for i := range rows {
+		rows[i] = []tuple.Value{tuple.String("A"), tuple.Float(float64(i))}
+	}
+	if _, err := x.PushBatch("news", rows); err != nil {
 		t.Fatal(err)
 	}
-	_, sub2 := submit(t, x, `SELECT sym, price FROM stocks WHERE price > 1`)
-	pushStocks(t, x, [2]any{"C", 7.0}, [2]any{"D", 0.5})
-	if got := len(drainKeys(t, x, sub2)); got != 1 {
-		t.Fatalf("rows after resubmit = %d, want 1", got)
+	if err := x.Barrier(); err != nil {
+		t.Fatal(err)
 	}
-	if x.EOCount() != 1 {
-		t.Fatalf("EOs = %d", x.EOCount())
+	pushStocks(t, x, [2]any{"A", 1.0})
+	done := make(chan error, 1)
+	go func() { done <- x.Barrier() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("barrier deadlocked: shard blocked publishing, EO blocked on its reply")
+	}
+	if got := len(drain(t, x, sub)); got != n {
+		t.Fatalf("join rows = %d, want %d", got, n)
 	}
 }

@@ -170,6 +170,6 @@ func E12CompiledExpr(scale int) *Table {
 
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d stock tuples, %d grouped-filter probes per configuration; delivered/kept counts verified identical across paths", nTuples, probes),
-		"interpreted/batch=1 is the pre-compilation engine default; WITH (compiled=off) reproduces it per query")
+		"interpreted/batch=1 is the pre-compilation engine default; executor.Options.CompiledExpr = ExprInterpreted reproduces it")
 	return t
 }

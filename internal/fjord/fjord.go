@@ -10,11 +10,25 @@
 //   - push-queue:     non-blocking dequeue, non-blocking enqueue — control
 //     returns to the consumer when the queue is empty, so it can pursue
 //     other work instead of stalling on a slow source
-//   - Exchange:       blocking dequeue, non-blocking enqueue (Graefe's
-//     Exchange semantics [Graf93], provided for the baseline comparison)
 //
 // The package is generic so the engine can move tuples, query plans, and
 // control messages through the same machinery.
+//
+// Two rings implement Queue. Every edge with exactly one producer and
+// one consumer is an SPSC (spsc.go, lock-free): EO → hash shard ingress,
+// hash shard → EO egress, each ordered pair of the exchange Mesh, fan-out
+// relay stages, and per-query result subscriptions. The mutex ring
+// behind NewPush/NewPull survives only where one of those ends is
+// shared:
+//
+//   - an Execution Object's control and data queues (NewPush): many
+//     submitters and many pushers enqueue concurrently, and drop-oldest
+//     QoS makes a producer dequeue the head it evicts;
+//   - a fan-out subscriber's frame ring (NewPush): the leaf stage
+//     enqueues, but under drop-oldest it also evicts from the consumer's
+//     end while the subscriber dequeues;
+//   - the simulated Flux machine inbox (NewPull): every router goroutine
+//     feeds it.
 package fjord
 
 import (
@@ -248,8 +262,3 @@ func NewPull[T any](capacity int) Queue[T] { return queue[T]{newRing[T](capacity
 // find it full get false and may shed or bounce; consumers that find it
 // empty regain control immediately (the essential Fjords property).
 func NewPush[T any](capacity int) Queue[T] { return queue[T]{newRing[T](capacity)} }
-
-// NewExchange returns a queue with Exchange semantics: producers use the
-// non-blocking end, consumers the blocking end. Kept distinct so the
-// Fjords-vs-Exchange experiment (E8) reads like the paper.
-func NewExchange[T any](capacity int) Queue[T] { return queue[T]{newRing[T](capacity)} }

@@ -240,68 +240,6 @@ func TestQuickModelFIFO(t *testing.T) {
 	}
 }
 
-func TestBroadcastDeliversToAll(t *testing.T) {
-	b := NewBroadcast[int]()
-	q1 := b.Subscribe(4)
-	q2 := b.Subscribe(4)
-	b.Publish(7)
-	for i, q := range []Queue[int]{q1, q2} {
-		v, ok := q.TryDequeue()
-		if !ok || v != 7 {
-			t.Fatalf("sub %d: %d, %v", i, v, ok)
-		}
-	}
-	if b.Subscribers() != 2 {
-		t.Fatalf("Subscribers = %d", b.Subscribers())
-	}
-}
-
-func TestBroadcastShedsOnFullSubscriber(t *testing.T) {
-	b := NewBroadcast[int]()
-	slow := b.Subscribe(1)
-	fast := b.Subscribe(8)
-	b.Publish(1)
-	b.Publish(2) // slow is full: shed for slow, delivered to fast
-	d := b.Dropped()
-	if d[0] != 1 || d[1] != 0 {
-		t.Fatalf("Dropped = %v", d)
-	}
-	if fast.Len() != 2 || slow.Len() != 1 {
-		t.Fatalf("fast=%d slow=%d", fast.Len(), slow.Len())
-	}
-}
-
-func TestBroadcastClose(t *testing.T) {
-	b := NewBroadcast[int]()
-	q := b.Subscribe(2)
-	b.Close()
-	if !q.Closed() {
-		t.Fatal("subscriber not closed")
-	}
-	late := b.Subscribe(2)
-	if !late.Closed() {
-		t.Fatal("post-close subscription not closed")
-	}
-	b.Close() // idempotent
-}
-
-func TestBroadcastPublishBlocking(t *testing.T) {
-	b := NewBroadcast[int]()
-	q := b.Subscribe(1)
-	if err := b.PublishBlocking(1); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- b.PublishBlocking(2) }()
-	time.Sleep(10 * time.Millisecond)
-	if v, _ := q.Dequeue(); v != 1 {
-		t.Fatal("head wrong")
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkPushQueue(b *testing.B) {
 	q := NewPush[int](1024)
 	for i := 0; i < b.N; i++ {

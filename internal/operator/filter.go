@@ -49,8 +49,7 @@ func (f *Filter) SetPredicate(p expr.Expr) {
 }
 
 // SetCompiled toggles the compiled bytecode path (on by default; the
-// WITH (compiled=off) escape hatch and the oracle's interpreted sweep
-// turn it off).
+// oracle's interpreted sweep and E12's baseline turn it off).
 func (f *Filter) SetCompiled(on bool) {
 	if on {
 		f.compiled = prog.NewPredCache(f.pred)

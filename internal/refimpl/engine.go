@@ -21,9 +21,10 @@ type EngineConfig struct {
 	Batch  int
 	Mode   executor.ClassMode
 	Policy func(seed int64) eddy.Policy
-	// Shards is the multi-eddy shard count per EO (0/1 = classic single
-	// engine; N>1 = hash shards + catch-all). Sharding must be invisible
-	// to query answers, so the sweep crosses it with the other knobs.
+	// Shards is the hash-shard count per EO (0/1 = none: the EO's inline
+	// catch-all hosts every query; N>1 = N hash shards beside it).
+	// Sharding must be invisible to query answers, so the sweep crosses
+	// it with the other knobs.
 	Shards int
 	// Chaos is a chaos.Parse spec ("" = none). The oracle only injects
 	// lossless faults (queue-full bursts against blocking QoS), so

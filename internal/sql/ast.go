@@ -118,13 +118,6 @@ type Select struct {
 	Limit    int64 // 0 = unlimited
 	// Window is the parsed for-loop construct; nil for unwindowed CQs.
 	Window *window.Spec
-	// Shards is the WITH (shards=N) placement hint: run the query's EO
-	// as N hash-partitioned eddy shards. 0 = executor default.
-	Shards int
-	// Compiled is the WITH (compiled=on|off) expression-path hint for
-	// the EO this query creates: 0 = executor default, 1 = compiled
-	// bytecode, -1 = tree-walking interpreter.
-	Compiled int8
 }
 
 func (*CreateStream) stmt() {}

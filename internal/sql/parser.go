@@ -581,83 +581,7 @@ func (p *parser) selectStmt() (Statement, error) {
 		}
 		s.Window = w
 	}
-	// Optional SELECT-level options: WITH (shards=N, compiled=on|off).
-	// Only a block whose first key is one the SELECT knows belongs to
-	// it; anything else is left for the caller (SUBSCRIBE parses its
-	// own WITH after the query).
-	if t := p.peek(); t.kind == tokIdent && strings.ToLower(t.text) == "with" {
-		save := p.i
-		p.i++
-		consumed := false
-		if p.expect("(") == nil {
-			if key, err := p.ident(); err == nil && selectWithKey(key) {
-				for {
-					if err := p.selectWithOption(s, key); err != nil {
-						return nil, err
-					}
-					if !p.accept(",") {
-						break
-					}
-					if key, err = p.ident(); err != nil {
-						return nil, fmt.Errorf("sql: expected option name in WITH (...)")
-					}
-					if !selectWithKey(key) {
-						return nil, fmt.Errorf("sql: unknown WITH option %q", key)
-					}
-				}
-				if err := p.expect(")"); err != nil {
-					return nil, err
-				}
-				consumed = true
-			}
-		}
-		if !consumed {
-			p.i = save
-		}
-	}
 	return s, nil
-}
-
-// selectWithKey reports whether a WITH (...) option key belongs to the
-// SELECT itself (as opposed to an enclosing SUBSCRIBE).
-func selectWithKey(key string) bool {
-	switch strings.ToLower(key) {
-	case "shards", "compiled":
-		return true
-	}
-	return false
-}
-
-// selectWithOption parses the "= value" tail of one SELECT WITH option.
-func (p *parser) selectWithOption(s *Select, key string) error {
-	if err := p.expect("="); err != nil {
-		return err
-	}
-	switch strings.ToLower(key) {
-	case "shards":
-		n, err := p.signedInt()
-		if err != nil {
-			return err
-		}
-		if n < 1 || n > 64 {
-			return fmt.Errorf("sql: shards wants a count in [1,64], got %d", n)
-		}
-		s.Shards = int(n)
-	case "compiled":
-		v, err := p.ident()
-		if err != nil {
-			return fmt.Errorf("sql: compiled wants on or off")
-		}
-		switch strings.ToLower(v) {
-		case "on", "true":
-			s.Compiled = 1
-		case "off", "false":
-			s.Compiled = -1
-		default:
-			return fmt.Errorf("sql: compiled wants on or off, got %q", v)
-		}
-	}
-	return nil
 }
 
 func (p *parser) selectItem() (SelectItem, error) {

@@ -383,6 +383,9 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM s for (t = 0; ; t++) { }",
 		"SELECT sum(*) FROM s",
 		"SELECT 'unterminated FROM s",
+		"SELECT a FROM s WITH (shards = 2)",     // SELECT takes no WITH block
+		"SELECT a FROM s WITH (compiled = off)", // (only SUBSCRIBE does)
+		"SUBSCRIBE SELECT a FROM s WITH (shards = 2)",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
