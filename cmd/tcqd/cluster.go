@@ -25,7 +25,6 @@ import (
 
 	"telegraphcq/internal/chaos"
 	"telegraphcq/internal/cluster"
-	"telegraphcq/internal/flux"
 	"telegraphcq/internal/ingress"
 	"telegraphcq/internal/telemetry"
 )
@@ -35,7 +34,7 @@ import (
 type sink interface {
 	Route(key string, val float64) error
 	Barrier(timeout time.Duration) error
-	Collect(timeout time.Duration) (flux.BucketState, error)
+	Collect(timeout time.Duration) (cluster.BucketState, error)
 	StatsLine() string
 }
 
@@ -44,7 +43,7 @@ type coordSink struct{ c *cluster.Coordinator }
 
 func (s coordSink) Route(key string, val float64) error { return s.c.Route(key, val) }
 func (s coordSink) Barrier(d time.Duration) error       { return s.c.Barrier(d) }
-func (s coordSink) Collect(d time.Duration) (flux.BucketState, error) {
+func (s coordSink) Collect(d time.Duration) (cluster.BucketState, error) {
 	return s.c.Collect(d)
 }
 func (s coordSink) StatsLine() string {
@@ -58,11 +57,11 @@ func (s coordSink) StatsLine() string {
 // in-memory fold.
 type localSink struct {
 	mu     sync.Mutex
-	st     flux.BucketState
+	st     cluster.BucketState
 	routed int64
 }
 
-func newLocalSink() *localSink { return &localSink{st: flux.BucketState{}} }
+func newLocalSink() *localSink { return &localSink{st: cluster.BucketState{}} }
 
 func (s *localSink) Route(key string, val float64) error {
 	s.mu.Lock()
@@ -72,7 +71,7 @@ func (s *localSink) Route(key string, val float64) error {
 	return nil
 }
 func (s *localSink) Barrier(time.Duration) error { return nil }
-func (s *localSink) Collect(time.Duration) (flux.BucketState, error) {
+func (s *localSink) Collect(time.Duration) (cluster.BucketState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.st.Clone(), nil

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"telegraphcq/internal/chaos"
-	"telegraphcq/internal/flux"
 )
 
 // testLogf routes node logs through the test log so failures carry the
@@ -57,9 +56,9 @@ func startCluster(t *testing.T, n int, cfg Config, setup ...func(*Worker)) (*Coo
 
 // feed routes count synthetic observations and returns the reference
 // fold — what a single process would compute from the same stream.
-func feed(t *testing.T, c *Coordinator, count, keys int) flux.BucketState {
+func feed(t *testing.T, c *Coordinator, count, keys int) BucketState {
 	t.Helper()
-	want := flux.BucketState{}
+	want := BucketState{}
 	for i := 0; i < count; i++ {
 		key := fmt.Sprintf("g%03d", i%keys)
 		val := float64(i%17) - 8
@@ -73,7 +72,7 @@ func feed(t *testing.T, c *Coordinator, count, keys int) flux.BucketState {
 
 // assertParity fails unless the cluster's collected result matches the
 // reference fold exactly.
-func assertParity(t *testing.T, c *Coordinator, want flux.BucketState) {
+func assertParity(t *testing.T, c *Coordinator, want BucketState) {
 	t.Helper()
 	got, err := c.Collect(10 * time.Second)
 	if err != nil {
@@ -349,6 +348,10 @@ func TestMoveBucketOnline(t *testing.T) {
 	if got != dst {
 		t.Fatalf("bucket 0 primary = %d, want %d", got, dst)
 	}
+	// Moving a bucket onto the node that already runs it is a no-op.
+	if err := c.MoveBucket(0, dst); err != nil {
+		t.Fatalf("self-move: %v", err)
+	}
 	if c.Stats().Moves != 1 {
 		t.Fatalf("moves = %d, want 1", c.Stats().Moves)
 	}
@@ -390,10 +393,22 @@ func TestWorkerExactDedupOutOfOrder(t *testing.T) {
 	}
 }
 
+// roundTripDataFrame and roundTripStateFrame build the frames
+// TestProtocolRoundTrip checks; the fuzz targets seed from the same ones.
+func roundTripDataFrame() ([]Entry, []byte) {
+	entries := []Entry{{Key: "alpha", Val: 1.5}, {Key: "", Val: -2}, {Key: "β", Val: 0}}
+	return entries, appendData(nil, 7, 41, entries)
+}
+
+func roundTripStateFrame() []byte {
+	st := BucketState{}
+	st.Fold("x", 2)
+	return appendState(nil, mState, 3, 9, st)
+}
+
 // The protocol codec must round-trip every message the exchange uses.
 func TestProtocolRoundTrip(t *testing.T) {
-	entries := []Entry{{Key: "alpha", Val: 1.5}, {Key: "", Val: -2}, {Key: "β", Val: 0}}
-	frame := appendData(nil, 7, 41, entries)
+	entries, frame := roundTripDataFrame()
 	if frame[0] != mData {
 		t.Fatalf("type = %d", frame[0])
 	}
@@ -420,9 +435,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 			t.Fatalf("truncated frame (cut %d) decoded cleanly", cut)
 		}
 	}
-	st := flux.BucketState{}
-	st.Fold("x", 2)
-	sf := appendState(nil, mState, 3, 9, st)
+	sf := roundTripStateFrame()
 	sd := &decoder{buf: sf[1:]}
 	if b := sd.uvarint(); b != 3 {
 		t.Fatalf("state bucket = %d", b)

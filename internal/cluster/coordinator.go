@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"telegraphcq/internal/flux"
 	"telegraphcq/internal/storage"
 	"telegraphcq/internal/telemetry"
 )
@@ -520,7 +519,7 @@ func (c *Coordinator) onAck(nodeID, bucket int, upTo int64) {
 // idempotent. An orphaned bucket (no live owner yet) pends without
 // sending; the healer's reassignment retransmits.
 func (c *Coordinator) Route(key string, val float64) error {
-	b := flux.BucketOf(key, len(c.buckets))
+	b := BucketOf(key, len(c.buckets))
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -829,7 +828,7 @@ func (c *Coordinator) reinitLost(bucket int) error {
 	bm := c.buckets[bucket]
 	p, floor := bm.primary, bm.nextSeq-1 // frozen: the bucket is paused
 	c.mu.Unlock()
-	_, err := c.ctlRequest(p, appendState(nil, mInstall, bucket, floor, flux.BucketState{}), mInstalled, c.moveTimeout())
+	_, err := c.ctlRequest(p, appendState(nil, mInstall, bucket, floor, BucketState{}), mInstalled, c.moveTimeout())
 	return err
 }
 
@@ -1180,7 +1179,7 @@ func (c *Coordinator) Barrier(timeout time.Duration) error {
 // final grouped result. Orphaned buckets hold no data after a
 // successful barrier (nothing was ever assigned to them) and are
 // skipped.
-func (c *Coordinator) Collect(timeout time.Duration) (flux.BucketState, error) {
+func (c *Coordinator) Collect(timeout time.Duration) (BucketState, error) {
 	if err := c.Barrier(timeout); err != nil {
 		return nil, err
 	}
@@ -1192,7 +1191,7 @@ func (c *Coordinator) Collect(timeout time.Duration) (flux.BucketState, error) {
 		}
 	}
 	c.mu.Unlock()
-	out := flux.BucketState{}
+	out := BucketState{}
 	ids := make([]int, 0, len(byNode))
 	for id := range byNode {
 		ids = append(ids, id)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net"
 	"time"
-
-	"telegraphcq/internal/flux"
 )
 
 // Dynamic membership and self-healing. The coordinator runs a registry
@@ -298,7 +296,7 @@ func (c *Coordinator) healOrphans() {
 // floor 0 — so any stale replica the node holds from an earlier epoch
 // is superseded rather than folded into.
 func (c *Coordinator) adoptOrphan(fx orphanFix) error {
-	if _, err := c.ctlRequest(fx.dst, appendState(nil, mInstall, fx.bucket, fx.floor, flux.BucketState{}), mInstalled, c.moveTimeout()); err != nil {
+	if _, err := c.ctlRequest(fx.dst, appendState(nil, mInstall, fx.bucket, fx.floor, BucketState{}), mInstalled, c.moveTimeout()); err != nil {
 		return err
 	}
 	c.mu.Lock()

@@ -2,7 +2,7 @@
 // real tcqd processes in coordinator and worker roles connected by a
 // length-prefixed TCP exchange. The coordinator owns the bucket→node
 // shard map and routes partitioned consumer input; workers hold the
-// movable flux.BucketState partitions. Robustness properties:
+// movable BucketState partitions. Robustness properties:
 //
 //   - At-least-once delivery with per-bucket sequence dedup: the
 //     coordinator retains every routed entry until both replicas have
@@ -18,9 +18,9 @@
 //     ran as primary is promoted to its secondary, losing zero acked
 //     tuples; replication is then repaired onto a surviving node by
 //     state movement.
-//   - Online state movement: flux.BucketState serializes over the wire
-//     (flux.AppendState/DecodeState) for both failover catch-up and
-//     bucket handoff under skew.
+//   - Online state movement: BucketState (state.go) serializes over
+//     the wire for both failover catch-up and bucket handoff under
+//     skew.
 //
 // This file defines the wire protocol shared by both roles.
 package cluster
@@ -33,23 +33,21 @@ import (
 	"math"
 	"net"
 	"sync"
-
-	"telegraphcq/internal/flux"
 )
 
 // Message types. Every frame is u32 little-endian payload length, then
 // a payload beginning with one of these bytes.
 const (
-	mHello    byte = iota + 1 // coordinator → worker: node id assignment
-	mData                     // a batch of (key,val) entries for one bucket
-	mAck                      // worker → coordinator: applied floor for one bucket
-	mPing                     // coordinator → worker: heartbeat probe
-	mPong                     // worker → coordinator: heartbeat reply + processed count
-	mFetch                    // fetch one bucket's state (optionally dropping it)
-	mState                    // reply to mFetch: serialized state + applied floor
-	mInstall                  // install state + applied floor on a worker
-	mInstalled                // reply to mInstall
-	mCollect                  // fetch the merged state of a bucket list
+	mHello     byte = iota + 1 // coordinator → worker: node id assignment
+	mData                      // a batch of (key,val) entries for one bucket
+	mAck                       // worker → coordinator: applied floor for one bucket
+	mPing                      // coordinator → worker: heartbeat probe
+	mPong                      // worker → coordinator: heartbeat reply + processed count
+	mFetch                     // fetch one bucket's state (optionally dropping it)
+	mState                     // reply to mFetch: serialized state + applied floor
+	mInstall                   // install state + applied floor on a worker
+	mInstalled                 // reply to mInstall
+	mCollect                   // fetch the merged state of a bucket list
 	mCollectReply
 	mJoin     // worker → coordinator registry: HELLO (name, exchange addr, max epoch seen)
 	mAdmit    // coordinator → worker registry: ADMIT (node id, epoch)
@@ -179,10 +177,10 @@ func appendAckBatch(dst []byte, buckets []int, floors []int64) []byte {
 }
 
 // decodeFloorPairs decodes the (bucket, floor) list shared by mFloors
-// and mAckBatch.
+// and mAckBatch; a pair is at least two bytes.
 func decodeFloorPairs(d *decoder) map[int]int64 {
-	n := d.uvarint()
-	if d.err != nil || n > maxFrame {
+	n := d.count(2)
+	if d.err != nil {
 		return nil
 	}
 	m := make(map[int]int64, n)
@@ -235,11 +233,11 @@ func appendFetch(dst []byte, bucket int, drop bool) []byte {
 	return append(dst, 0)
 }
 
-func appendState(dst []byte, msg byte, bucket int, upTo int64, st flux.BucketState) []byte {
+func appendState(dst []byte, msg byte, bucket int, upTo int64, st BucketState) []byte {
 	dst = append(dst, msg)
 	dst = binary.AppendUvarint(dst, uint64(bucket))
 	dst = binary.AppendVarint(dst, upTo)
-	return flux.AppendState(dst, st)
+	return AppendState(dst, st)
 }
 
 func appendInstalled(dst []byte, bucket int) []byte {
@@ -289,6 +287,19 @@ func (d *decoder) varint() int64 {
 	return v
 }
 
+// count reads an element count and rejects one the remaining bytes
+// cannot hold at minBytes per element: counts come off the wire and
+// size pre-allocations, so a short frame must not be able to ask for a
+// large one.
+func (d *decoder) count(minBytes int) uint64 {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.buf)/minBytes) {
+		d.err = fmt.Errorf("cluster: count %d exceeds the %d bytes left", n, len(d.buf))
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) bytes(n uint64) []byte {
 	if d.err != nil {
 		return nil
@@ -310,24 +321,11 @@ func (d *decoder) byteVal() byte {
 	return b[0]
 }
 
-func (d *decoder) state() flux.BucketState {
-	if d.err != nil {
-		return nil
-	}
-	st, rest, err := flux.DecodeState(d.buf)
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	d.buf = rest
-	return st
-}
-
 func decodeData(d *decoder) (bucket int, baseSeq int64, entries []Entry) {
 	bucket = int(d.uvarint())
 	baseSeq = d.varint()
-	n := d.uvarint()
-	if d.err != nil || n > maxFrame {
+	n := d.count(2) // an entry is at least a key length and a value byte
+	if d.err != nil {
 		return
 	}
 	entries = make([]Entry, 0, n)

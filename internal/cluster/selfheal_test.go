@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"telegraphcq/internal/chaos"
-	"telegraphcq/internal/flux"
 	"telegraphcq/internal/ingress"
 )
 
@@ -361,7 +360,7 @@ func hotKeys(buckets, parity, n int) []string {
 	var keys []string
 	for i := 0; len(keys) < n; i++ {
 		k := fmt.Sprintf("h%05d", i)
-		if flux.BucketOf(k, buckets)%2 == parity {
+		if BucketOf(k, buckets)%2 == parity {
 			keys = append(keys, k)
 		}
 	}
@@ -380,7 +379,7 @@ func TestSkewAutoMove(t *testing.T) {
 
 	// All traffic lands on node 0's primaries (even buckets).
 	keys := hotKeys(16, 0, 24)
-	want := flux.BucketState{}
+	want := BucketState{}
 	var mu sync.Mutex
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -449,7 +448,7 @@ func TestUniformWorkloadNoFlap(t *testing.T) {
 		Balance:   BalanceConfig{Interval: 80 * time.Millisecond, After: 2, Cooldown: 2, MinRate: 50},
 	}
 	c, _ := startCluster(t, 2, cfg)
-	want := flux.BucketState{}
+	want := BucketState{}
 	// Route uniformly across many intervals so the policy gets plenty of
 	// chances to misfire.
 	for i := 0; i < 6000; i++ {
@@ -481,7 +480,7 @@ func TestMoveBucketUnderChaos(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 11, ConnDrop: 0.0008, AckDelay: 0.05, AckDelayFor: 2 * time.Millisecond})
 	c, _ := startCluster(t, 3, Config{Heartbeat: 100 * time.Millisecond}, func(w *Worker) { w.SetChaos(inj) })
 
-	want := flux.BucketState{}
+	want := BucketState{}
 	var mu sync.Mutex
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -651,7 +650,7 @@ func TestMembershipChurnSoak(t *testing.T) {
 	}
 	t.Cleanup(c.Close)
 
-	want := flux.BucketState{}
+	want := BucketState{}
 	type member struct {
 		name string
 		w    *Worker

@@ -1,26 +1,31 @@
-// The movable-state core of Flux. Shah et al.'s central observation is
-// that load balancing and fault tolerance are the *same* mechanism:
-// both move a bucket's partitioned operator state between machines
-// while the dataflow runs. This file is that mechanism's data plane,
-// shared by the in-process simulation (flux.go) and the real networked
-// deployment (internal/cluster): the state unit (BucketState), its fold
-// and merge operations, a deterministic key→bucket partitioner, and a
-// compact wire codec so state can cross a process boundary for failover
-// catch-up and online handoff.
-package flux
+package cluster
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 )
 
+// The movable-state core of Flux. Shah et al.'s central observation is
+// that load balancing and fault tolerance are the *same* mechanism:
+// both move a bucket's partitioned operator state between machines
+// while the dataflow runs. This file is that mechanism's data plane:
+// the state unit (BucketState), its fold and merge operations, a
+// deterministic key→bucket partitioner, and a compact wire codec so
+// state can cross a process boundary for failover catch-up and online
+// handoff.
+
+// GroupState is the per-group accumulator of the partitioned consumer
+// operator (a windowed grouped aggregate: count and sum).
+type GroupState struct {
+	Key   string
+	Count int64
+	Sum   float64
+}
+
 // BucketState is the movable unit of operator state: the per-group
-// accumulators (windowed grouped aggregate: count and sum) of one
-// partition bucket. It is not safe for concurrent use; owners
-// serialize access on their own goroutine, exactly like the simulated
-// machines and the cluster workers do.
+// accumulators of one partition bucket. It is not safe for concurrent
+// use; a Worker serializes access under its mutex.
 type BucketState map[string]*GroupState
 
 // Fold accumulates one (key, value) observation.
@@ -106,30 +111,30 @@ func AppendState(dst []byte, b BucketState) []byte {
 // DecodeState reads one encoded BucketState from buf, returning it and
 // the remaining bytes.
 func DecodeState(buf []byte) (BucketState, []byte, error) {
-	n, w := binary.Uvarint(buf)
-	if w <= 0 {
-		return nil, nil, fmt.Errorf("flux: truncated state group count")
+	d := &decoder{buf: buf}
+	st := d.state()
+	if d.err != nil {
+		return nil, nil, d.err
 	}
-	buf = buf[w:]
+	return st, d.buf, nil
+}
+
+// state decodes AppendState's wire form. A group is at least three
+// bytes: an empty key's length, a one-byte count and a one-byte sum.
+func (d *decoder) state() BucketState {
+	n := d.count(3)
+	if d.err != nil {
+		return nil
+	}
 	b := make(BucketState, n)
 	for i := uint64(0); i < n; i++ {
-		kl, w := binary.Uvarint(buf)
-		if w <= 0 || uint64(len(buf)-w) < kl {
-			return nil, nil, fmt.Errorf("flux: truncated state key")
+		key := string(d.bytes(d.uvarint()))
+		cnt := d.varint()
+		sum := d.uvarint()
+		if d.err != nil {
+			return nil
 		}
-		key := string(buf[w : w+int(kl)])
-		buf = buf[w+int(kl):]
-		cnt, w := binary.Varint(buf)
-		if w <= 0 {
-			return nil, nil, fmt.Errorf("flux: truncated state count")
-		}
-		buf = buf[w:]
-		sum, w := binary.Uvarint(buf)
-		if w <= 0 {
-			return nil, nil, fmt.Errorf("flux: truncated state sum")
-		}
-		buf = buf[w:]
 		b[key] = &GroupState{Key: key, Count: cnt, Sum: math.Float64frombits(sum)}
 	}
-	return b, buf, nil
+	return b
 }

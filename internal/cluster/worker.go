@@ -9,12 +9,11 @@ import (
 	"time"
 
 	"telegraphcq/internal/chaos"
-	"telegraphcq/internal/flux"
 	"telegraphcq/internal/ingress"
 )
 
 // Worker runs the partitioned consumer state of one cluster node: a set
-// of flux.BucketState partitions behind the framed TCP exchange. It is
+// of BucketState partitions behind the framed TCP exchange. It is
 // role-agnostic about replication — a worker does not know whether it
 // holds a bucket as primary or secondary; the coordinator owns that
 // map. All a worker guarantees is the dedup contract: a sequence is
@@ -48,7 +47,7 @@ type Worker struct {
 	helloed   map[net.Conn]int64 // exchange conns past hello → coordinator epoch
 	id        int                // assigned by the coordinator's hello
 	maxEpoch  int64              // highest coordinator epoch ever seen (fence floor)
-	buckets   map[int]flux.BucketState
+	buckets   map[int]BucketState
 	applied   map[int]int64          // per-bucket contiguous applied floor
 	above     map[int]map[int64]bool // applied sequences above the floor (out-of-order arrivals)
 	processed int64                  // entries folded (post-dedup)
@@ -62,7 +61,7 @@ func NewWorker() *Worker {
 	return &Worker{
 		conns:   map[net.Conn]struct{}{},
 		helloed: map[net.Conn]int64{},
-		buckets: map[int]flux.BucketState{},
+		buckets: map[int]BucketState{},
 		applied: map[int]int64{},
 		above:   map[int]map[int64]bool{},
 	}
@@ -312,11 +311,11 @@ func (w *Worker) serve(conn net.Conn) {
 			w.installState(bucket, upTo, st)
 			out = appendInstalled(out, bucket)
 		case mCollect:
-			n := d.uvarint()
-			if d.err != nil || n > maxFrame {
+			n := d.count(1)
+			if d.err != nil {
 				return
 			}
-			merged := flux.BucketState{}
+			merged := BucketState{}
 			w.mu.Lock()
 			for i := uint64(0); i < n; i++ {
 				if st := w.buckets[int(d.uvarint())]; st != nil {
@@ -515,7 +514,7 @@ func (w *Worker) applyData(bucket int, baseSeq int64, entries []Entry) int64 {
 	defer w.mu.Unlock()
 	st := w.buckets[bucket]
 	if st == nil {
-		st = flux.BucketState{}
+		st = BucketState{}
 		w.buckets[bucket] = st
 	}
 	floor := w.applied[bucket]
@@ -543,13 +542,13 @@ func (w *Worker) applyData(bucket int, baseSeq int64, entries []Entry) int64 {
 }
 
 // fetchState snapshots (and with drop, removes) one bucket's state.
-func (w *Worker) fetchState(bucket int, drop bool) (flux.BucketState, int64) {
+func (w *Worker) fetchState(bucket int, drop bool) (BucketState, int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	st := w.buckets[bucket]
 	upTo := w.applied[bucket]
 	if st == nil {
-		st = flux.BucketState{}
+		st = BucketState{}
 	}
 	if drop {
 		delete(w.buckets, bucket)
@@ -563,7 +562,7 @@ func (w *Worker) fetchState(bucket int, drop bool) (flux.BucketState, int64) {
 // installState replaces a bucket's state and dedup floor (failover
 // catch-up and handoff both land here; the moved state supersedes any
 // replica the node already held).
-func (w *Worker) installState(bucket int, upTo int64, st flux.BucketState) {
+func (w *Worker) installState(bucket int, upTo int64, st BucketState) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.buckets[bucket] = st

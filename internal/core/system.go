@@ -13,7 +13,7 @@ import (
 	"telegraphcq/internal/catalog"
 	"telegraphcq/internal/egress"
 	"telegraphcq/internal/executor"
-	"telegraphcq/internal/fjord"
+	"telegraphcq/internal/plan"
 	"telegraphcq/internal/sql"
 	"telegraphcq/internal/storage"
 	"telegraphcq/internal/telemetry"
@@ -89,47 +89,18 @@ func (s *System) Exec(stmt string) error {
 	if err != nil {
 		return err
 	}
-	switch x := st.(type) {
-	case *sql.CreateStream:
-		src, err := s.cat.CreateStream(x.Name, x.Cols, x.Archived)
-		if err != nil {
-			return err
-		}
-		if x.With != nil {
-			// WITH (overflow = ..., rate = ..., timeout_ms = ...) — the
-			// policy name was validated at parse time.
-			pol, err := fjord.ParseOverflowPolicy(x.With.Overflow)
-			if err != nil {
-				return err
-			}
-			src.SetQoS(fjord.QoS{
-				Policy:       pol,
-				SampleP:      x.With.SampleP,
-				BlockTimeout: time.Duration(x.With.TimeoutMs) * time.Millisecond,
-			})
-		}
-		if x.Archived {
-			if err := s.openArchive(src); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *sql.CreateTable:
-		_, err := s.cat.CreateTable(x.Name, x.Cols)
+	src, err := plan.ApplyDDL(s.cat, st)
+	if err != nil {
 		return err
-	case *sql.Insert:
-		src, err := s.cat.Lookup(x.Table)
-		if err != nil {
-			return err
-		}
-		for _, row := range x.Rows {
-			if err := src.Insert(tuple.New(src.Schema, row...)); err != nil {
-				return err
-			}
+	}
+	switch st.(type) {
+	case *sql.CreateStream:
+		if src.Archived {
+			return s.openArchive(src)
 		}
 		return nil
-	case *sql.DropSource:
-		return s.cat.Drop(x.Name)
+	case *sql.CreateTable, *sql.Insert, *sql.DropSource:
+		return nil
 	case *sql.Select:
 		return fmt.Errorf("core: use Submit for queries")
 	default:

@@ -18,17 +18,15 @@
 // one consumer is an SPSC (spsc.go, lock-free): EO → hash shard ingress,
 // hash shard → EO egress, each ordered pair of the exchange Mesh, fan-out
 // relay stages, and per-query result subscriptions. The mutex ring
-// behind NewPush/NewPull survives only where one of those ends is
-// shared:
+// behind NewPush survives only on the two edges where one of those ends
+// is shared:
 //
-//   - an Execution Object's control and data queues (NewPush): many
-//     submitters and many pushers enqueue concurrently, and drop-oldest
-//     QoS makes a producer dequeue the head it evicts;
-//   - a fan-out subscriber's frame ring (NewPush): the leaf stage
-//     enqueues, but under drop-oldest it also evicts from the consumer's
-//     end while the subscriber dequeues;
-//   - the simulated Flux machine inbox (NewPull): every router goroutine
-//     feeds it.
+//   - an Execution Object's control and data queues: many submitters
+//     and many pushers enqueue concurrently, and drop-oldest QoS makes
+//     a producer dequeue the head it evicts;
+//   - a fan-out subscriber's frame ring: the leaf stage enqueues, but
+//     under drop-oldest it also evicts from the consumer's end while
+//     the subscriber dequeues.
 package fjord
 
 import (
@@ -238,9 +236,9 @@ func (r *ring[T]) isClosed() bool {
 	return r.closed
 }
 
-// queue adapts ring to the Queue interface; the named constructors below
-// differ only in which ends their users are expected to call, mirroring
-// the paper's queue taxonomy.
+// queue adapts ring to the Queue interface. One queue serves both of
+// the paper's modalities: which ends a user calls — the Try pair or the
+// blocking pair — is what makes an edge push or pull.
 type queue[T any] struct{ r *ring[T] }
 
 func (q queue[T]) TryEnqueue(v T) bool        { return q.r.tryEnqueue(v) }
@@ -254,11 +252,9 @@ func (q queue[T]) Len() int                   { return q.r.len() }
 func (q queue[T]) Cap() int                   { return len(q.r.buf) }
 func (q queue[T]) Closed() bool               { return q.r.isClosed() }
 
-// NewPull returns a pull-queue: both ends blocking (iterator model over a
-// bounded buffer).
-func NewPull[T any](capacity int) Queue[T] { return queue[T]{newRing[T](capacity)} }
-
-// NewPush returns a push-queue: both ends non-blocking. Producers that
-// find it full get false and may shed or bounce; consumers that find it
-// empty regain control immediately (the essential Fjords property).
+// NewPush returns a multi-producer, multi-consumer queue. Through the
+// Try ends it is a push-queue: producers that find it full get false
+// and may shed or bounce; consumers that find it empty regain control
+// immediately (the essential Fjords property). Through Enqueue/Dequeue
+// the same queue is a pull-queue (iterator model over a bounded buffer).
 func NewPush[T any](capacity int) Queue[T] { return queue[T]{newRing[T](capacity)} }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFIFOOrder(t *testing.T) {
-	q := NewPull[int](4)
+	q := NewPush[int](4)
 	for i := 0; i < 4; i++ {
 		if err := q.Enqueue(i); err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func TestTryDequeueEmpty(t *testing.T) {
 }
 
 func TestCloseSemantics(t *testing.T) {
-	q := NewPull[int](4)
+	q := NewPush[int](4)
 	_ = q.Enqueue(1)
 	_ = q.Enqueue(2)
 	q.Close()
@@ -87,7 +87,7 @@ func TestCloseSemantics(t *testing.T) {
 }
 
 func TestBlockingEnqueueWaits(t *testing.T) {
-	q := NewPull[int](1)
+	q := NewPush[int](1)
 	_ = q.Enqueue(1)
 	done := make(chan error, 1)
 	go func() { done <- q.Enqueue(2) }()
@@ -108,7 +108,7 @@ func TestBlockingEnqueueWaits(t *testing.T) {
 }
 
 func TestBlockingDequeueWaits(t *testing.T) {
-	q := NewPull[int](1)
+	q := NewPush[int](1)
 	got := make(chan int, 1)
 	go func() {
 		v, _ := q.Dequeue()
@@ -126,7 +126,7 @@ func TestBlockingDequeueWaits(t *testing.T) {
 }
 
 func TestCloseWakesBlockedDequeue(t *testing.T) {
-	q := NewPull[int](1)
+	q := NewPush[int](1)
 	errc := make(chan error, 1)
 	go func() {
 		_, err := q.Dequeue()
@@ -140,7 +140,7 @@ func TestCloseWakesBlockedDequeue(t *testing.T) {
 }
 
 func TestCloseWakesBlockedEnqueue(t *testing.T) {
-	q := NewPull[int](1)
+	q := NewPush[int](1)
 	_ = q.Enqueue(1)
 	errc := make(chan error, 1)
 	go func() { errc <- q.Enqueue(2) }()
@@ -157,7 +157,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 		consumers = 4
 		perProd   = 1000
 	)
-	q := NewPull[int](8)
+	q := NewPush[int](8)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -249,7 +249,7 @@ func BenchmarkPushQueue(b *testing.B) {
 }
 
 func BenchmarkPullQueueContended(b *testing.B) {
-	q := NewPull[int](1024)
+	q := NewPush[int](1024)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -11,7 +11,7 @@ import (
 // client subscription, a wrapper feeding a dedicated parser — where the
 // mutex queue's lock round-trip dominates the per-tuple cost. Multi-
 // writer edges (fan-out, control channels) must keep using the mutex
-// queues from NewPush/NewPull.
+// queue from NewPush.
 //
 // "Single producer" and "single consumer" mean at most one goroutine on
 // each end *at a time*: handing an end to another goroutine is safe when

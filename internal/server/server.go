@@ -37,6 +37,7 @@ import (
 	"telegraphcq/internal/fanout"
 	"telegraphcq/internal/fjord"
 	"telegraphcq/internal/ingress"
+	"telegraphcq/internal/plan"
 	"telegraphcq/internal/sql"
 	"telegraphcq/internal/telemetry"
 	"telegraphcq/internal/tuple"
@@ -340,53 +341,20 @@ func (c *session) dispatch(text string) {
 		c.sendErr(err)
 		return
 	}
+	src, err := plan.ApplyDDL(c.srv.Cat, st)
+	if err != nil {
+		c.sendErr(err)
+		return
+	}
 	switch stmt := st.(type) {
 	case *sql.CreateStream:
-		src, err := c.srv.Cat.CreateStream(stmt.Name, stmt.Cols, stmt.Archived)
-		if err != nil {
-			c.sendErr(err)
-			return
-		}
-		if stmt.With != nil {
-			// WITH (overflow = ..., rate = ..., timeout_ms = ...) — the
-			// policy was validated at parse time.
-			pol, err := fjord.ParseOverflowPolicy(stmt.With.Overflow)
-			if err != nil {
-				c.sendErr(err)
-				return
-			}
-			src.SetQoS(fjord.QoS{
-				Policy:       pol,
-				SampleP:      stmt.With.SampleP,
-				BlockTimeout: time.Duration(stmt.With.TimeoutMs) * time.Millisecond,
-			})
-		}
 		c.srv.wrapper.Register(stmt.Name, src.Schema)
 		c.send("ok created stream %s", stmt.Name)
 	case *sql.CreateTable:
-		if _, err := c.srv.Cat.CreateTable(stmt.Name, stmt.Cols); err != nil {
-			c.sendErr(err)
-			return
-		}
 		c.send("ok created table %s", stmt.Name)
 	case *sql.Insert:
-		src, err := c.srv.Cat.Lookup(stmt.Table)
-		if err != nil {
-			c.sendErr(err)
-			return
-		}
-		for _, row := range stmt.Rows {
-			if err := src.Insert(tuple.New(src.Schema, row...)); err != nil {
-				c.sendErr(err)
-				return
-			}
-		}
 		c.send("ok inserted %d", len(stmt.Rows))
 	case *sql.DropSource:
-		if err := c.srv.Cat.Drop(stmt.Name); err != nil {
-			c.sendErr(err)
-			return
-		}
 		c.send("ok dropped %s", stmt.Name)
 	case *sql.Select:
 		c.openCursor(stmt)

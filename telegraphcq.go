@@ -8,7 +8,8 @@
 // supports the paper's for-loop window construct (snapshot, landmark,
 // sliding/hopping, backward windows), archives streams to disk through a
 // log-structured store and buffer pool, and scales out with Flux
-// (load-balancing, fault-tolerant exchange) over a simulated cluster.
+// (load-balancing, fault-tolerant exchange) across worker processes
+// (tcqd -role=coordinator|worker).
 //
 // Quick start:
 //
