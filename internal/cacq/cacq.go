@@ -63,7 +63,7 @@ type registered struct {
 	// resid is the compiled form of residual (nil when interpreting).
 	resid   *prog.PredCache
 	project *operator.Project
-	agg      *operator.WindowAgg
+	agg     *operator.WindowAgg
 	// retention is the per-source tuple retention width implied by the
 	// query's window (math.MaxInt64 = keep forever).
 	retention map[string]int64
@@ -81,6 +81,13 @@ type Engine struct {
 	// interest maps source → bitset of query IDs reading it.
 	interest map[string]*bitset.Set
 	maxSeq   map[string]int64
+	// width maps source → how many sequence numbers back its SteM must
+	// reach: the widest retention over the join queries reading it
+	// (math.MaxInt64 when one of them is unwindowed, absent when none
+	// is). Only a query over two or more sources can probe a SteM, so
+	// single-source queries never hold join state. Kept current by
+	// AddQuery/RemoveQuery; Push only reads it.
+	width map[string]int64
 
 	// compiled selects the expression path: bytecode programs over
 	// columnar batches (default), or the tree-walking interpreter
@@ -126,6 +133,7 @@ func NewEngine(policy eddy.Policy, deliver Deliver) *Engine {
 		queries:  map[int]*registered{},
 		interest: map[string]*bitset.Set{},
 		maxSeq:   map[string]int64{},
+		width:    map[string]int64{},
 		compiled: true,
 	}
 	e.ed = eddy.New(nil, policy, e.output)
@@ -245,7 +253,7 @@ func (e *Engine) AddQuery(q *Query) error {
 				e.stems[side.Source] = sm
 				e.ed.AddModule(sm)
 			}
-			sm.AddFactor(jf)
+			sm.AddFactor(q.ID, jf)
 		}
 	}
 
@@ -270,7 +278,7 @@ func (e *Engine) AddQuery(q *Query) error {
 						e.stems[pair[0]] = sm
 						e.ed.AddModule(sm)
 					}
-					sm.AddCross(pair[1])
+					sm.AddCross(q.ID, pair[1])
 				}
 			}
 		}
@@ -313,11 +321,29 @@ func (e *Engine) AddQuery(q *Query) error {
 		in.Add(q.ID)
 	}
 	e.queries[q.ID] = r
+	e.widen(r)
 	return nil
 }
 
-// RemoveQuery deregisters a query; its grouped-filter factors are
-// deleted and its interest bits cleared. In-flight tuples may still
+// widen raises the eviction width of every source a join query reads
+// to what that query needs kept.
+func (e *Engine) widen(r *registered) {
+	if len(r.q.Sources) < 2 {
+		return
+	}
+	for _, src := range r.q.Sources {
+		w, ok := r.retention[src]
+		if !ok {
+			w = math.MaxInt64 // unwindowed: keep everything
+		}
+		if w > e.width[src] {
+			e.width[src] = w
+		}
+	}
+}
+
+// RemoveQuery deregisters a query; its grouped-filter and join factors
+// are deleted and its interest bits cleared. In-flight tuples may still
 // carry its bit; delivery drops rows for unknown queries.
 func (e *Engine) RemoveQuery(id int) {
 	r, ok := e.queries[id]
@@ -331,6 +357,25 @@ func (e *Engine) RemoveQuery(id int) {
 	for _, src := range r.q.Sources {
 		if in := e.interest[src]; in != nil {
 			in.Remove(id)
+		}
+	}
+	if len(r.q.Sources) < 2 {
+		return // held no join state
+	}
+	for _, src := range r.q.Sources {
+		delete(e.width, src)
+	}
+	for _, o := range e.queries {
+		e.widen(o)
+	}
+	for src, sm := range e.stems {
+		sm.RemoveQuery(id)
+		if !sm.Probed() {
+			// The last join over src left: nothing can probe its SteM
+			// again, and the module stops building into it.
+			sm.EvictBefore(math.MaxInt64)
+		} else {
+			e.evict(src) // a narrower window may have become the widest
 		}
 	}
 }
@@ -375,34 +420,17 @@ func (e *Engine) AdvanceSeq(src string, seq int64) {
 }
 
 // evict drops SteM state no window can reach anymore: tuples older than
-// maxSeq − (largest retention over queries reading src) + 1.
+// maxSeq − (widest retention over join queries reading src) + 1.
 func (e *Engine) evict(src string) {
 	sm := e.stems[src]
 	if sm == nil {
 		return
 	}
-	maxRet := int64(0)
-	anyQuery := false
-	for _, r := range e.queries {
-		for _, qsrc := range r.q.Sources {
-			if qsrc != src {
-				continue
-			}
-			anyQuery = true
-			ret, ok := r.retention[src]
-			if !ok {
-				ret = math.MaxInt64 // unwindowed join: keep everything
-			}
-			if ret > maxRet {
-				maxRet = ret
-			}
-		}
-	}
-	if !anyQuery || maxRet == math.MaxInt64 || maxRet == 0 {
+	w := e.width[src]
+	if w == 0 || w == math.MaxInt64 {
 		return
 	}
-	horizon := e.maxSeq[src] - maxRet + 1
-	if horizon > 0 {
+	if horizon := e.maxSeq[src] - w + 1; horizon > 0 {
 		sm.EvictBefore(horizon)
 	}
 }

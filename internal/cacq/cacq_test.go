@@ -3,6 +3,7 @@ package cacq
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"telegraphcq/internal/expr"
@@ -397,5 +398,107 @@ func TestFlushClosesAggregates(t *testing.T) {
 	}
 	if len(s.rows[0]) != 1 || s.rows[0][0].Values[1].I != 5 {
 		t.Fatalf("flush rows: %v", s.rows[0])
+	}
+}
+
+func slidingJoinWindow(width int64) *window.Spec {
+	return &window.Spec{
+		Domain: tuple.LogicalTime,
+		Init:   window.STExpr(0),
+		Cond:   window.Cond{Op: window.CondTrue},
+		Step:   1,
+		Defs: []window.Def{
+			{Stream: "stocks", Left: window.TExpr(1 - width), Right: window.TExpr(0)},
+			{Stream: "news", Left: window.TExpr(1 - width), Right: window.TExpr(0)},
+		},
+	}
+}
+
+// A query over one source can never probe a SteM, so a windowless
+// selection beside a windowed join must not pin the join's state; and
+// once the last join over a source leaves, its SteM empties for good.
+func TestSingleSourceQueryDoesNotPinJoinState(t *testing.T) {
+	const width = 100
+	e := NewEngine(nil, func(int, *tuple.Tuple) {})
+	if err := e.AddQuery(&Query{
+		ID:      0,
+		Sources: []string{"stocks", "news"},
+		Where:   expr.Bin(expr.OpEq, expr.Col("stocks", "sym"), expr.Col("news", "sym")),
+		Window:  slidingJoinWindow(width),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddQuery(&Query{ID: 1, Sources: []string{"stocks"}}); err != nil {
+		t.Fatal(err)
+	}
+	push := func(from, to int64) {
+		t.Helper()
+		for seq := from; seq <= to; seq++ {
+			if err := e.Push(stock(seq, "MSFT", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := e.stems["stocks"].SteM()
+	push(1, 10000)
+	if st.Size() == 0 || st.Size() > width {
+		t.Fatalf("SteM(stocks) holds %d tuples under a %d-wide join window", st.Size(), width)
+	}
+	e.RemoveQuery(0)
+	if st.Size() != 0 {
+		t.Fatalf("SteM(stocks) holds %d tuples after its last join left", st.Size())
+	}
+	push(10001, 10100)
+	if st.Size() != 0 {
+		t.Fatalf("SteM(stocks) grew to %d tuples with no join to probe it", st.Size())
+	}
+	if e.Delivered(1) != 10100 {
+		t.Fatalf("selection delivered %d of 10100 rows", e.Delivered(1))
+	}
+}
+
+// A cancelled query's join predicate must leave with it: the survivor
+// sees what an engine that never ran the cancelled query would show it.
+func TestRemovedQueryJoinFactorLeavesWithIt(t *testing.T) {
+	equi := expr.Bin(expr.OpEq, expr.Col("stocks", "sym"), expr.Col("news", "sym"))
+	run := func(withCancelled bool) []string {
+		s := newSink()
+		e := NewEngine(nil, s.deliver)
+		if err := e.AddQuery(&Query{ID: 1, Sources: []string{"stocks", "news"}, Where: equi}); err != nil {
+			t.Fatal(err)
+		}
+		if withCancelled {
+			if err := e.AddQuery(&Query{
+				ID: 2, Sources: []string{"stocks", "news"},
+				Where: expr.Bin(expr.OpAnd, equi,
+					expr.Bin(expr.OpLt, expr.Col("stocks", "price"), expr.Col("news", "score"))),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			e.RemoveQuery(2)
+		}
+		for seq := int64(1); seq <= 20; seq++ {
+			_ = e.Push(stock(seq, fmt.Sprintf("s%d", seq%4), float64(seq)))
+			_ = e.Push(news(seq, fmt.Sprintf("s%d", seq%4), 10))
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var rows []string
+		for _, r := range s.rows[1] {
+			rows = append(rows, r.String())
+		}
+		sort.Strings(rows)
+		return rows
+	}
+	got, want := run(true), run(false)
+	if len(want) == 0 {
+		t.Fatal("control engine joined nothing")
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after cancelling q2, q1 got %d rows; a fresh engine gives %d", len(got), len(want))
 	}
 }

@@ -1,7 +1,6 @@
 package stem
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -134,83 +133,14 @@ func TestEvictBefore(t *testing.T) {
 	}
 }
 
-func TestEvictOutside(t *testing.T) {
-	s := New("T", nil)
-	for i := int64(1); i <= 10; i++ {
-		_ = s.Build(mk("T", i, i, 0))
-	}
-	n := s.EvictOutside(tuple.LogicalTime, 3, 7)
-	if n != 5 || s.Size() != 5 {
-		t.Fatalf("evicted %d size %d", n, s.Size())
-	}
-	for _, tp := range s.All() {
-		if tp.TS.Seq < 3 || tp.TS.Seq > 7 {
-			t.Fatalf("survivor outside window: %d", tp.TS.Seq)
-		}
-	}
-}
-
-func TestEvictWhereAndCompaction(t *testing.T) {
-	s := New("T", expr.Col("T", "k"))
-	for i := int64(1); i <= 100; i++ {
-		_ = s.Build(mk("T", i, i%10, 0))
-	}
-	n := s.EvictWhere(func(tp *tuple.Tuple) bool { return tp.TS.Seq%2 == 0 })
-	if n != 50 || s.Size() != 50 {
-		t.Fatalf("evicted %d size %d", n, s.Size())
-	}
-	// Index must still be correct after compaction.
-	got, err := s.Probe(mk("S", 0, 3, 0), ProbeSpec{KeyExpr: expr.Col("S", "k")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 { // k=3 from odd seqs 3,13,...,93 → 5 of them... (3,13,23,...,93 =10, odd only → 3,13,...93 all odd)
-		// seq with seq%10==3: 3,13,...,93 (10 tuples), evicted evens none (all odd) → 10
-		t.Logf("matches=%d", len(got))
-	}
-	if len(got) != 10 {
-		t.Fatalf("post-compaction matches = %d, want 10", len(got))
-	}
-}
-
-func TestForEachEarlyStopAndAll(t *testing.T) {
-	s := New("T", nil)
-	for i := int64(1); i <= 4; i++ {
-		_ = s.Build(mk("T", i, i, 0))
-	}
-	count := 0
-	s.ForEach(func(*tuple.Tuple) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Fatalf("ForEach visited %d", count)
-	}
-	if got := s.All(); len(got) != 4 || got[0].TS.Seq != 1 {
-		t.Fatalf("All = %v", got)
-	}
-}
-
-func TestClear(t *testing.T) {
-	s := New("T", expr.Col("T", "k"))
-	_ = s.Build(mk("T", 1, 1, 1))
-	s.Clear()
-	if s.Size() != 0 {
-		t.Fatal("Clear left tuples")
-	}
-	got, _ := s.Probe(mk("S", 1, 1, 1), ProbeSpec{KeyExpr: expr.Col("S", "k")})
-	if len(got) != 0 {
-		t.Fatal("Clear left index entries")
-	}
-	// SteM remains usable.
-	_ = s.Build(mk("T", 2, 1, 1))
-	got, _ = s.Probe(mk("S", 1, 1, 1), ProbeSpec{KeyExpr: expr.Col("S", "k")})
-	if len(got) != 1 {
-		t.Fatal("SteM unusable after Clear")
-	}
-}
-
 func TestBuildKeyError(t *testing.T) {
 	s := New("T", expr.Col("T", "missing"))
-	if err := s.Build(mk("T", 1, 1, 1)); err == nil {
+	tp := mk("T", 1, 1, 1)
+	if err := s.Build(tp); err == nil {
 		t.Fatal("build with bad key succeeded")
+	}
+	if tp.Retained() || s.Size() != 0 {
+		t.Fatalf("failed build kept the tuple: retained=%v size=%d", tp.Retained(), s.Size())
 	}
 }
 
@@ -305,5 +235,3 @@ func BenchmarkScanProbe(b *testing.B) {
 		}
 	}
 }
-
-var _ = fmt.Sprintf
