@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -37,7 +38,7 @@ import (
 func main() {
 	front := flag.String("front", "127.0.0.1:5432", "FrontEnd (query) listen address")
 	wrapper := flag.String("wrapper", "127.0.0.1:5433", "Wrapper (data ingress) listen address")
-	metricsAddr := flag.String("metrics-addr", "", "telemetry HTTP listen address (/metrics, /statz, /healthz); empty disables")
+	metricsAddr := flag.String("metrics-addr", "", "telemetry HTTP listen address (/metrics, /statz, /healthz, /debug/pprof/); empty disables")
 	mode := flag.String("class-mode", "footprint", "query class placement: footprint|single|per-query")
 	batch := flag.Int("batch", 0, "eddy tuple-batching knob (0 = auto: full drains when compiled, 1 otherwise)")
 	shards := flag.Int("shards", 0, "hash-partitioned eddy shards per EO beside its inline catch-all (0/1 = none)")
@@ -55,6 +56,11 @@ func main() {
 	coordinator := flag.String("coordinator", "", "worker role: coordinator registry address to register with (empty = wait to be dialed)")
 	name := flag.String("name", "", "worker role: stable node name for rejoin identity (default = exchange address)")
 	flag.Parse()
+	if *metricsAddr == "" {
+		// Linking the /debug/pprof/ handlers turns on the runtime's heap
+		// sampling in every process; only one that serves them needs it.
+		runtime.MemProfileRate = 0
+	}
 
 	switch *role {
 	case "":

@@ -108,8 +108,14 @@ func (s *Subscription) Err() error {
 
 // Next blocks for the next row; ok is false when the subscription closed
 // and drained.
-func (s *Subscription) Next() (*tuple.Tuple, bool) {
-	t, err := s.q.Dequeue()
+func (s *Subscription) Next() (*tuple.Tuple, bool) { return s.NextOr(nil) }
+
+// NextOr is Next that also returns (nil, false) when stop is closed
+// while no row is queued. A consumer that must stop on its own signal
+// waits here, in one select, rather than beside a goroutine parked in
+// Next; a row it takes after stop is its to retire.
+func (s *Subscription) NextOr(stop <-chan struct{}) (*tuple.Tuple, bool) {
+	t, err := s.q.DequeueOr(stop)
 	return t, err == nil
 }
 

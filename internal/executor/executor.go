@@ -263,6 +263,7 @@ type execObject struct {
 	idx     int
 	ctl     *fjord.Counted[envelope]     // control edge (rare, multi-writer)
 	data    *fjord.Counted[*tuple.Tuple] // data edge (multi-writer fan-in)
+	wake    chan struct{}                // one-slot token: control is queued (see notify)
 	feeds   map[string]bool              // streams routed to this EO (readers; under x.mu)
 	sources map[string]bool              // footprint covered by this EO (placeLocked; under x.mu)
 	done    chan struct{}
@@ -287,6 +288,7 @@ func (x *Executor) newEO() *execObject {
 		idx:     len(x.eos),
 		ctl:     fjord.Count(fjord.NewPush[envelope](256)),
 		data:    fjord.Count(fjord.NewPush[*tuple.Tuple](x.opts.QueueCap)),
+		wake:    make(chan struct{}, 1),
 		feeds:   map[string]bool{},
 		sources: map[string]bool{},
 		done:    make(chan struct{}),
@@ -312,12 +314,25 @@ func (o *Options) engineBatch(compiled bool) int {
 	return 1
 }
 
+// notify posts the EO's wake token so an idle EO handles queued control
+// now rather than at its next idle tick. The send never blocks: a token
+// already pending covers this post, because the EO drains the control
+// queue after every wake, and a token posted while it is busy only
+// costs it one extra turn.
+func (eo *execObject) notify() {
+	select {
+	case eo.wake <- struct{}{}:
+	default:
+	}
+}
+
 // ask round-trips one control message through the EO's control queue.
 func (eo *execObject) ask(env envelope) ctlReply {
 	env.reply = make(chan ctlReply, 1)
 	if err := eo.ctl.Enqueue(env); err != nil {
 		return ctlReply{err: err}
 	}
+	eo.notify()
 	select {
 	case r := <-env.reply:
 		return r
@@ -822,6 +837,7 @@ func (x *Executor) Close() {
 	for _, eo := range eos {
 		eo.data.Close()
 		eo.ctl.Close()
+		eo.notify()
 		<-eo.done
 	}
 	x.hub.CloseAll()

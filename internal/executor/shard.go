@@ -65,18 +65,56 @@ const (
 	exchangeFlushBatch = 64
 )
 
-// backoff is the one idle policy of every scheduler loop in the package:
-// after more than eight consecutive turns that moved nothing, sleep
-// briefly instead of spinning.
-func backoff(idle *int, progressed bool) {
+// idleSpins is how many consecutive empty turns a scheduler loop spins
+// through before it waits.
+const idleSpins = 8
+
+// idleTick bounds how long an idle scheduler loop waits before it looks
+// at its data rings again. Control never waits it out (see idler). A
+// group reads it once, at creation; tests raise it to prove that every
+// control round-trip is woken rather than ticked.
+var idleTick = 200 * time.Microsecond
+
+// idler is the one idle policy of every scheduler loop in the package.
+// After more than idleSpins turns that moved nothing, the loop waits in
+// one select on its control wake source (the EO's wake token, a hash
+// shard's command channel), its group's failure, and the idle tick.
+// Data producers never wake a loop: at paced rates the tick is what
+// batches rows into quanta, and a wake per producer burst costs more
+// CPU per row than it saves latency (EXPERIMENTS.md, "Control wakes").
+type idler struct {
+	tick  time.Duration
+	empty int
+	timer *time.Timer
+}
+
+// rest records whether the turn moved anything and reports whether the
+// loop should now wait.
+func (w *idler) rest(progressed bool) bool {
 	if progressed {
-		*idle = 0
-		return
+		w.empty = 0
+		return false
 	}
-	*idle++
-	if *idle > 8 {
-		time.Sleep(200 * time.Microsecond)
+	w.empty++
+	return w.empty > idleSpins
+}
+
+// after arms the idle tick and returns its channel. go.mod's language
+// version keeps the pre-1.23 timer semantics, where Reset does not drain
+// a tick that fired unreceived, so Stop and drain first.
+func (w *idler) after() <-chan time.Time {
+	if w.timer == nil {
+		w.timer = time.NewTimer(w.tick)
+		return w.timer.C
 	}
+	if !w.timer.Stop() {
+		select {
+		case <-w.timer.C:
+		default:
+		}
+	}
+	w.timer.Reset(w.tick)
+	return w.timer.C
 }
 
 // ------------------------------------------------------------ route table
@@ -143,6 +181,7 @@ type shardQuery struct {
 type shardGroup struct {
 	eo    *execObject
 	n     int                       // hash shards; 0 when Options.Shards ≤ 1
+	tick  time.Duration             // idleTick at creation
 	pin   *eddyShard                // the catch-all (id n), hosted inline
 	hash  []*eddyShard              // hash shards 0..n-1, one goroutine each
 	mesh  *fjord.Mesh[*tuple.Tuple] // n×n exchange among the hash shards
@@ -187,6 +226,7 @@ func newShardGroup(eo *execObject, shards int) *shardGroup {
 	g := &shardGroup{
 		eo:        eo,
 		n:         n,
+		tick:      idleTick,
 		mesh:      fjord.NewMesh[*tuple.Tuple](n, exchangeRingCap),
 		rr:        map[string]int{},
 		records:   map[int]*shardQuery{},
@@ -202,7 +242,8 @@ func newShardGroup(eo *execObject, shards int) *shardGroup {
 		sh.flush = sh.publish
 		sh.in = fjord.NewSPSC[*tuple.Tuple](shardIngressCap)
 		// One command is in flight per shard (askShard waits for the
-		// reply), so a one-slot buffer never blocks the EO.
+		// reply), so a one-slot buffer never blocks the EO. It is also
+		// the shard's wake source, and stopShards closes it.
 		sh.cmd = make(chan envelope, 1)
 		sh.egress = fjord.NewSPSC[delivery](egressRingCap)
 		sh.inbound = g.mesh.Inbound(i, nil)
@@ -236,13 +277,14 @@ func (g *shardGroup) newShard(id int) *eddyShard {
 }
 
 // run is the EO scheduler loop: drain control, drain a batch of data
-// tuples, give the catch-all its quantum, merge hash-shard egress, idle
-// briefly when nothing is queued. Control drains first so cancellation
-// and barriers are not starved by a full data queue.
+// tuples, give the catch-all its quantum, merge hash-shard egress, wait
+// for a control wake or the idle tick when nothing is queued. Control
+// drains first so cancellation and barriers are not starved by a full
+// data queue.
 func (g *shardGroup) run() {
 	defer close(g.eo.done)
-	idle := 0
-	for !g.step(&idle) {
+	w := idler{tick: g.tick}
+	for !g.step(&w) {
 	}
 }
 
@@ -251,7 +293,7 @@ func (g *shardGroup) run() {
 // control handler — unwinds to here and quarantines the EO (§2.4
 // motivation: partial failure must not take the engine down); a panic
 // in a hash shard reaches the same path through g.failed.
-func (g *shardGroup) step(idle *int) (exit bool) {
+func (g *shardGroup) step(w *idler) (exit bool) {
 	eo := g.eo
 	defer func() {
 		if r := recover(); r != nil {
@@ -282,7 +324,13 @@ func (g *shardGroup) step(idle *int) (exit bool) {
 		// Idle dispatch: async modules, pending admission batches.
 		_ = g.pin.quantum()
 	}
-	backoff(idle, moved > 0)
+	if w.rest(moved > 0) {
+		select {
+		case <-eo.wake:
+		case <-g.failed:
+		case <-w.after():
+		}
+	}
 	return false
 }
 
@@ -675,23 +723,32 @@ func (g *shardGroup) shutdown() {
 	g.stopShards(g.deliverRuns)
 }
 
-// stopShards ends the hash shards: close their rings, wait for each
-// goroutine while draining its egress into sink (a shard blocked
-// publishing results can then always finish), and recycle whatever is
-// still queued between shards.
+// stopShards ends the hash shards: close their rings, then their command
+// channels (which wakes a shard waiting for work; with every ring closed
+// its next empty turn exits), wait for each goroutine while draining its
+// egress into sink (a shard blocked publishing results can then always
+// finish), and recycle whatever is still queued between shards.
 func (g *shardGroup) stopShards(sink func([]delivery)) {
+	// The ingress rings close only here; a second call (quarantine after
+	// a panic in shutdown) must not close the command channels again.
+	stopping := len(g.hash) > 0 && !g.hash[0].in.Closed()
 	for _, sh := range g.hash {
 		sh.in.Close()
 	}
 	g.mesh.CloseAll()
-	idle := 0
+	if stopping {
+		for _, sh := range g.hash {
+			close(sh.cmd)
+		}
+	}
+	w := idler{tick: g.tick}
 	for _, sh := range g.hash {
 		for exited := false; !exited; {
+			g.drainEgress(sink)
 			select {
 			case <-sh.done:
 				exited = true
-			default:
-				backoff(&idle, g.drainEgress(sink) > 0)
+			case <-w.after():
 			}
 		}
 	}
@@ -875,14 +932,16 @@ func (sh *eddyShard) teardown() {
 func (sh *eddyShard) loop() {
 	defer close(sh.done)
 	defer sh.teardown()
-	idle := 0
-	for !sh.g.isFailed() && !sh.step(&idle) {
+	w := idler{tick: sh.g.tick}
+	for !sh.g.isFailed() && !sh.step(&w) {
 	}
 }
 
 // step is one turn of a hash shard: handle a command, pull exchange and
-// ingress, run a quantum, flush outbound. A panic fails the whole group.
-func (sh *eddyShard) step(idle *int) (exit bool) {
+// ingress, run a quantum, flush outbound, and when idle wait for the
+// next command, the group's failure or the idle tick. A panic fails the
+// whole group.
+func (sh *eddyShard) step(w *idler) (exit bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.g.fail(fmt.Sprintf("shard %d: %v", sh.id, r), debug.Stack())
@@ -891,9 +950,8 @@ func (sh *eddyShard) step(idle *int) (exit bool) {
 	}()
 	moved := 0
 	select {
-	case c := <-sh.cmd:
-		c.reply <- sh.handle(c)
-		moved++
+	case c, ok := <-sh.cmd:
+		moved += sh.serve(c, ok)
 	default:
 	}
 	moved += sh.drainExchange()
@@ -904,8 +962,25 @@ func (sh *eddyShard) step(idle *int) (exit bool) {
 	if moved == 0 && sh.in.Closed() && sh.in.Len() == 0 && sh.exchangeDry() {
 		return true
 	}
-	backoff(idle, moved > 0)
+	if w.rest(moved > 0) {
+		select {
+		case c, ok := <-sh.cmd:
+			sh.serve(c, ok)
+		case <-sh.g.failed:
+		case <-w.after():
+		}
+	}
 	return false
+}
+
+// serve answers one command received from sh.cmd and reports how many
+// it handled; a closed channel (stopShards) handles none.
+func (sh *eddyShard) serve(c envelope, ok bool) int {
+	if !ok {
+		return 0
+	}
+	c.reply <- sh.handle(c)
+	return 1
 }
 
 // exchangeDry reports whether every inbound exchange ring is closed and

@@ -37,6 +37,9 @@ import (
 // ErrClosed is returned by blocking operations on a closed queue.
 var ErrClosed = errors.New("fjord: queue closed")
 
+// ErrStopped is returned by SPSC.DequeueOr when its stop signal fired.
+var ErrStopped = errors.New("fjord: wait stopped")
+
 // Queue is the Fjord endpoint pair. TryEnqueue/TryDequeue are the
 // non-blocking ends; Enqueue/Dequeue the blocking ends. Concrete queues
 // implement all four so a plan can mix modalities per connection, but a

@@ -188,7 +188,13 @@ func (q *SPSC[T]) DequeueBatch(dst []T) int {
 // Dequeue implements Queue: it blocks until an element is available,
 // returning ErrClosed once the queue is closed and drained. Consumer
 // side only.
-func (q *SPSC[T]) Dequeue() (T, error) {
+func (q *SPSC[T]) Dequeue() (T, error) { return q.DequeueOr(nil) }
+
+// DequeueOr is Dequeue that also gives up, with ErrStopped, when stop is
+// closed while the queue is empty: the consumer parks on the queue and
+// its own stop signal in one select, with no helper goroutine. A nil
+// stop never fires. Consumer side only.
+func (q *SPSC[T]) DequeueOr(stop <-chan struct{}) (T, error) {
 	for {
 		if v, ok := q.TryDequeue(); ok {
 			return v, nil
@@ -210,6 +216,10 @@ func (q *SPSC[T]) Dequeue() (T, error) {
 		select {
 		case <-q.notEmpty:
 		case <-q.done:
+		case <-stop:
+			q.waitNotEmpty.Store(false)
+			var zero T
+			return zero, ErrStopped
 		}
 		q.waitNotEmpty.Store(false)
 	}

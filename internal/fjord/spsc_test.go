@@ -315,6 +315,32 @@ func TestSPSCBlockingWakeups(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("blocked Dequeue never woke on Close")
 	}
+
+	// DequeueOr on an empty queue returns ErrStopped when its stop signal
+	// closes, parked or not; once stopped, it still hands out what is
+	// queued before reporting ErrStopped.
+	q3 := NewSPSC[int](2)
+	stop := make(chan struct{})
+	go func() {
+		_, err := q3.DequeueOr(stop)
+		deqDone <- err
+	}()
+	close(stop)
+	select {
+	case err := <-deqDone:
+		if err != ErrStopped {
+			t.Fatalf("DequeueOr on stop = %v, want ErrStopped", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("blocked DequeueOr never woke on stop")
+	}
+	q3.TryEnqueue(7)
+	if v, err := q3.DequeueOr(stop); v != 7 || err != nil {
+		t.Fatalf("DequeueOr after stop with a queued element = %d, %v", v, err)
+	}
+	if _, err := q3.DequeueOr(stop); err != ErrStopped {
+		t.Fatalf("DequeueOr after stop on an empty queue = %v, want ErrStopped", err)
+	}
 }
 
 func TestMutexRingBatchContract(t *testing.T) {

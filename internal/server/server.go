@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"telegraphcq/internal/catalog"
+	"telegraphcq/internal/egress"
 	"telegraphcq/internal/executor"
 	"telegraphcq/internal/fanout"
 	"telegraphcq/internal/fjord"
@@ -394,30 +395,34 @@ func (c *session) openCursor(stmt *sql.Select) {
 	// Also spool so FETCH works for disconnected retrieval.
 	c.srv.Exec.Hub().SpoolFor(id, 0)
 	c.send("cursor %d push", id)
+	c.pump(id, sub)
+}
+
+// pump registers a plain cursor and streams its subscription to the
+// client as "row <id> ..." lines until the query ends or the cursor is
+// stopped (CLOSE, or the session ending).
+func (c *session) pump(id int, sub *egress.Subscription) {
 	stopped := make(chan struct{})
 	c.subs[id] = &cursorState{stop: func() { close(stopped) }, owned: true}
 	c.pubs.Add(1)
 	go func() {
 		defer c.pubs.Done()
 		for {
+			row, ok := sub.NextOr(stopped)
+			if !ok {
+				// A quarantined query closes its subscription with a
+				// terminal error; tell the client why before done.
+				if err := sub.Err(); err != nil {
+					c.send("fail %d %s", id, strings.ReplaceAll(err.Error(), "\n", " "))
+				}
+				c.send("done %d", id)
+				return
+			}
 			select {
 			case <-stopped:
+				tuple.Recycle(row) // taken after stop: retired unsent
 				return
 			default:
-			}
-			row, ok := sub.TryNext()
-			if !ok {
-				row2, ok2 := waitNext(sub, stopped)
-				if !ok2 {
-					// A quarantined query closes its subscription with a
-					// terminal error; tell the client why before done.
-					if err := sub.Err(); err != nil {
-						c.send("fail %d %s", id, strings.ReplaceAll(err.Error(), "\n", " "))
-					}
-					c.send("done %d", id)
-					return
-				}
-				row = row2
 			}
 			c.send("row %d %s", id, row.String())
 			// The consumer retires rows it has written to the wire (a
@@ -468,8 +473,7 @@ func (c *session) openFanout(stmt *sql.Subscribe) {
 		old.stop() // one cursor id per session; displace the older pump
 	}
 	c.send("cursor %d push", id)
-	// Closing the subscriber wakes a pump blocked in NextFrame — no
-	// sidecar wait goroutine needed (cf. waitNext for legacy cursors).
+	// Closing the subscriber wakes a pump blocked in NextFrame.
 	c.subs[id] = &cursorState{stop: sub.Close, owned: stmt.Sel != nil}
 	c.pubs.Add(1)
 	go func() {
@@ -492,27 +496,6 @@ func (c *session) openFanout(stmt *sql.Subscribe) {
 			f.Release()
 		}
 	}()
-}
-
-// waitNext blocks for the next row or stop.
-func waitNext(sub interface {
-	Next() (*tuple.Tuple, bool)
-}, stopped chan struct{}) (*tuple.Tuple, bool) {
-	type res struct {
-		t  *tuple.Tuple
-		ok bool
-	}
-	ch := make(chan res, 1)
-	go func() {
-		t, ok := sub.Next()
-		ch <- res{t, ok}
-	}()
-	select {
-	case r := <-ch:
-		return r.t, r.ok
-	case <-stopped:
-		return nil, false
-	}
 }
 
 func (c *session) closeCursor(fields []string) {

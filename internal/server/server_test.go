@@ -383,6 +383,24 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
 		}
 	}
+
+	// The same listener serves the runtime profiles; a standing query
+	// gives the goroutine profile an EO scheduler loop to name.
+	if _, _, err := cli.Query(`SELECT v FROM s`); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get("http://" + addr + "/debug/pprof/goroutine?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err = io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "shardGroup).run") {
+		t.Fatalf("/debug/pprof/goroutine: status %d, no EO loop in:\n%s", resp.StatusCode, body)
+	}
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
