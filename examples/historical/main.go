@@ -1,13 +1,15 @@
-// Historical browsing and disconnected operation: the PSoup modalities
-// (§3.2) and backward-moving windows (§4.1.1) over an ARCHIVED stream.
+// Historical browsing and disconnected operation: backward-moving
+// windows (§4.1.1) over an ARCHIVED stream, and the PSoup modality
+// (§3.2) of a client that disconnects and later retrieves the results
+// materialized while it was away.
 //
 // The example archives a year of ticks to disk, then:
 //  1. browses history with a backward-moving window ("windows that move
-//     backwards starting from the present time"),
-//  2. registers PSoup standing queries, disconnects, and invokes them
-//     later — new data applied to old queries,
-//  3. registers a late query that still sees history — new query
-//     applied to old data.
+//     backwards starting from the present time"), programmatically and
+//     via SQL,
+//  2. reconnects a client whose standing query kept running while it was
+//     away, and fetches what it missed from the query's spool,
+//  3. answers a late query over all history with backward-window SQL.
 //
 // Run with:
 //
@@ -20,8 +22,7 @@ import (
 	"os"
 
 	"telegraphcq"
-	"telegraphcq/internal/expr"
-	"telegraphcq/internal/psoup"
+	"telegraphcq/internal/sql"
 	"telegraphcq/internal/tuple"
 	"telegraphcq/internal/window"
 	"telegraphcq/internal/workload"
@@ -39,16 +40,34 @@ func main() {
 	db.MustExec(`CREATE STREAM ClosingStockPrices (
 		timestamp int, stockSymbol string, closingPrice float) ARCHIVED`)
 
-	// Archive 250 trading days × 8 symbols.
+	// A standing query registered before the data, with a spool that
+	// materializes its results for a client that comes and goes.
+	st, err := sql.Parse(`SELECT * FROM ClosingStockPrices WHERE closingPrice > 80`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	id, err := db.Executor().SubmitDetached(st.(*sql.Select))
+	if err != nil {
+		log.Fatal(err)
+	}
+	spool := db.Executor().Hub().SpoolFor(id, 0)
+
+	// Archive 250 trading days × 8 symbols. The client reads its results
+	// for the first half of the year, then disconnects.
 	rows := (workload.Stocks{Seed: 11}).Rows(250 * 8)
-	for _, r := range rows {
-		if err := db.PushAt("ClosingStockPrices", r.Values[0].I, r.Values...); err != nil {
+	push := func(rows []*tuple.Tuple) {
+		for _, r := range rows {
+			if err := db.PushAt("ClosingStockPrices", r.Values[0].I, r.Values...); err != nil {
+				log.Fatal(err)
+			}
+		}
+		if err := db.Barrier(); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := db.Barrier(); err != nil {
-		log.Fatal(err)
-	}
+	push(rows[:len(rows)/2])
+	seen, offset := spool.Fetch(0)
+	push(rows[len(rows)/2:])
 	fmt.Printf("archived %d ticks (%d pages on disk)\n\n",
 		db.Archive("ClosingStockPrices").Count(),
 		db.Archive("ClosingStockPrices").Pages())
@@ -92,44 +111,25 @@ func main() {
 		fmt.Printf("  t=%s  max=%s\n", row.Values[0], row.Values[1])
 	}
 
-	// 2+3. PSoup: queries and data join symmetrically.
-	ps := psoup.New()
-	gt := func(v float64) expr.Expr {
-		return expr.Bin(expr.OpGt, expr.Col("", "closingPrice"), expr.Lit(tuple.Float(v)))
-	}
-	// A standing query registered before the data.
-	if err := ps.AddQuery(&psoup.Query{
-		ID: 0, Stream: "ClosingStockPrices", Where: gt(95),
-		Window: telegraphcq.Sliding("ClosingStockPrices", 400, 1, 0),
-	}); err != nil {
-		log.Fatal(err)
-	}
-	// Replay the archive into PSoup as "live" data.
-	for _, r := range rows {
-		if err := ps.PushData(r); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// The client was disconnected the whole time; it reconnects and
-	// invokes: results were materialized while it was away.
-	res, err := ps.Invoke(0, int64(len(rows)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nPSoup: disconnected client reconnects → %d closes above $95 in its window\n", len(res))
+	// 2. The disconnected client reconnects: the standing query kept
+	// running, so what it missed is already materialized in the spool.
+	missed, _ := spool.Fetch(offset)
+	fmt.Printf("\ndisconnected client: read %d closes above $80 before leaving, fetched %d more on reconnect\n",
+		len(seen), len(missed))
 
-	// A latecomer query still sees old data (new query ⋈ old data).
-	if err := ps.AddQuery(&psoup.Query{
-		ID: 1, Stream: "ClosingStockPrices", Where: gt(99),
-	}); err != nil {
-		log.Fatal(err)
-	}
-	res, err = ps.Invoke(1, int64(len(rows)))
+	// 3. A query registered after the data sees history through a
+	// backward window over the archive (a forward standing query starts
+	// at the present).
+	late, err := db.Submit(`
+		SELECT count(*) FROM ClosingStockPrices
+		WHERE closingPrice > 99
+		FOR (t = ST; t > ST - 1; t -= 1) {
+			WindowIs(ClosingStockPrices, 1, t);
+		}`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("PSoup: late query over history → %d closes above $99 ever\n", len(res))
-	st := ps.Stats()
-	fmt.Printf("PSoup stats: %d data, %d queries, %d materialized matches, %d retrieved\n",
-		st.DataArrived, st.QueriesAdded, st.Matches, st.RowsRetrieved)
+	if row, ok := late.TryNext(); ok {
+		fmt.Printf("late query over history: %s closes above $99 all year\n", row.Values[1])
+	}
 }

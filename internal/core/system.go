@@ -213,16 +213,7 @@ func (s *System) Push(stream string, vals ...tuple.Value) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	a := s.archives[stream]
-	s.mu.Unlock()
-	if a != nil {
-		src, _ := s.cat.Lookup(stream)
-		t := tuple.New(src.Schema, vals...)
-		t.TS = tuple.Timestamp{Seq: seq}
-		return a.Append(t)
-	}
-	return nil
+	return s.appendArchive(stream, tuple.Timestamp{Seq: seq}, vals)
 }
 
 // PushStamped is Push with a caller-controlled wall clock, the seam
@@ -234,16 +225,7 @@ func (s *System) PushStamped(stream string, wall time.Time, vals ...tuple.Value)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	a := s.archives[stream]
-	s.mu.Unlock()
-	if a != nil {
-		src, _ := s.cat.Lookup(stream)
-		t := tuple.New(src.Schema, vals...)
-		t.TS = tuple.Timestamp{Seq: seq, Wall: wall}
-		return a.Append(t)
-	}
-	return nil
+	return s.appendArchive(stream, tuple.Timestamp{Seq: seq, Wall: wall}, vals)
 }
 
 // PushAt is Push with a source-assigned logical timestamp (the paper's
@@ -253,16 +235,21 @@ func (s *System) PushAt(stream string, seq int64, vals ...tuple.Value) error {
 	if err := s.exec.PushAt(stream, seq, vals); err != nil {
 		return err
 	}
+	return s.appendArchive(stream, tuple.Timestamp{Seq: seq}, vals)
+}
+
+// appendArchive appends a pushed tuple to its stream's archive, if it has one.
+func (s *System) appendArchive(stream string, ts tuple.Timestamp, vals []tuple.Value) error {
 	s.mu.Lock()
 	a := s.archives[stream]
 	s.mu.Unlock()
-	if a != nil {
-		src, _ := s.cat.Lookup(stream)
-		t := tuple.New(src.Schema, vals...)
-		t.TS = tuple.Timestamp{Seq: seq}
-		return a.Append(t)
+	if a == nil {
+		return nil
 	}
-	return nil
+	src, _ := s.cat.Lookup(stream)
+	t := tuple.New(src.Schema, vals...)
+	t.TS = ts
+	return a.Append(t)
 }
 
 // Barrier waits until all pushed data has been fully processed.

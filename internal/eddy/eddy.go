@@ -25,7 +25,6 @@ type Stats struct {
 	ChooseCalls int64 // policy invocations (batching amortizes these)
 	Outputs     int64 // tuples that completed all modules
 	Dropped     int64
-	Bounced     int64
 }
 
 // ModuleStats is a snapshot of one module's routing observations: how
@@ -38,7 +37,6 @@ type ModuleStats struct {
 	Passed   int64
 	Dropped  int64
 	Consumed int64
-	Bounced  int64
 	WorkNs   int64 // cumulative Process time, nanoseconds
 }
 
@@ -101,9 +99,9 @@ type Eddy struct {
 	// burst of in-flight batches beyond the cap falls back to the heap.
 	free []*batch
 	// inherit is the done-set scratch emitFn reads; valid only during a
-	// routeBatch Process call. No module stores its emit callback
-	// (deferred producers re-enter through Idle/e.emit), so one shared
-	// closure replaces a per-batch clone + closure allocation.
+	// routeBatch Process call. No module stores its emit callback (Flush
+	// re-enters through e.emit), so one shared closure replaces a
+	// per-batch clone + closure allocation.
 	inherit bitset.Set
 	emitFn  operator.Emit
 
@@ -138,7 +136,6 @@ func (e *Eddy) freeBatch(b *batch) {
 	b.tuples = b.tuples[:0]
 	b.ready.Clear()
 	b.done.Clear()
-	b.bounces = 0
 	e.free = append(e.free, b)
 }
 
@@ -148,8 +145,6 @@ type batch struct {
 	tuples []*tuple.Tuple
 	ready  *bitset.Set
 	done   *bitset.Set
-	// bounces counts consecutive all-bounce rounds to detect stalls.
-	bounces int
 }
 
 // New builds an Eddy over the given modules. output receives tuples that
@@ -234,7 +229,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.ChooseCalls += o.ChooseCalls
 	s.Outputs += o.Outputs
 	s.Dropped += o.Dropped
-	s.Bounced += o.Bounced
 	return s
 }
 
@@ -260,7 +254,6 @@ func MergeModuleStats(dst, more []ModuleStats) []ModuleStats {
 		d.Passed += m.Passed
 		d.Dropped += m.Dropped
 		d.Consumed += m.Consumed
-		d.Bounced += m.Bounced
 		d.WorkNs += m.WorkNs
 	}
 	return dst
@@ -399,7 +392,7 @@ func (e *Eddy) Step() (bool, error) {
 	if len(e.work) == 0 {
 		e.flushPending()
 		if len(e.work) == 0 {
-			return e.idleModules()
+			return false, nil
 		}
 	}
 	b := e.work[0]
@@ -456,9 +449,7 @@ func (e *Eddy) Step() (bool, error) {
 	return true, nil
 }
 
-// routeBatch routes every tuple of b to module m. Tuples the module
-// bounces are split into a separate retry batch (with m still ready for
-// them) so that tuples that did pass are never re-processed by m.
+// routeBatch routes every tuple of b to module m.
 func (e *Eddy) routeBatch(b *batch, m int) error {
 	mod := e.modules[m]
 	if e.Vectorized && len(b.tuples) > 1 {
@@ -467,13 +458,12 @@ func (e *Eddy) routeBatch(b *batch, m int) error {
 		}
 	}
 	survivors := b.tuples[:0]
-	var bounced []*tuple.Tuple
 	// Emissions during this batch inherit the batch's done set plus the
 	// module being visited, so cascades never revisit this module. The
 	// inherited set lives in shared scratch read by the pre-built emitFn:
-	// emit is only ever called synchronously inside Process (async
-	// producers re-enter through Idle), so no per-batch clone or closure
-	// is needed. enqueueDerived copies the scratch before returning.
+	// emit is only ever called synchronously inside Process, so no
+	// per-batch clone or closure is needed. enqueueDerived copies the
+	// scratch before returning.
 	e.inherit.CopyFrom(b.done)
 	e.inherit.Add(m)
 	emit := e.emitFn
@@ -502,17 +492,10 @@ func (e *Eddy) routeBatch(b *batch, m int) error {
 			tuple.Recycle(t)
 		case operator.Consumed:
 			// The module retained the tuple; derived tuples arrive via
-			// emit, possibly later (async). Stamp the done set on the
-			// tuple so deferred emissions inherit it.
+			// emit, now or at Flush. Stamp the done set on the tuple so
+			// deferred emissions inherit it.
 			t.Lineage().Done.CopyFrom(&e.inherit)
 			mc.Consumed++
-		case operator.Bounce:
-			e.stats.Bounced++
-			mc.Bounced++
-			bounced = append(bounced, t)
-			// Back-pressure: a module that cannot absorb work returns
-			// the tuple, so it pays a ticket rather than earning one.
-			produced = 2
 		}
 		e.policy.Observe(m, out, produced, cost)
 	}
@@ -520,21 +503,6 @@ func (e *Eddy) routeBatch(b *batch, m int) error {
 		b.tuples[i] = nil
 	}
 	b.tuples = survivors
-	if len(bounced) > 0 {
-		retry := e.newBatch()
-		retry.tuples = append(retry.tuples, bounced...)
-		retry.ready.CopyFrom(b.ready) // m still ready for these
-		retry.done.CopyFrom(b.done)
-		retry.bounces = b.bounces + 1
-		if retry.bounces > 3 {
-			// Stalled on async work: let idle cycles make progress.
-			if _, err := e.idleModules(); err != nil {
-				return err
-			}
-			retry.bounces = 0
-		}
-		e.work = append(e.work, retry)
-	}
 	e.markDone(b, m)
 	return nil
 }
@@ -598,31 +566,15 @@ func (e *Eddy) markDone(b *batch, m int) {
 	}
 }
 
-// emit admits a derived tuple produced outside a batch context (idle
-// harvesting of async modules, flush). The done set inherited comes from
-// the tuple's own lineage, stamped when the producer consumed its input.
+// emit admits a derived tuple produced outside a batch context (flush).
+// The done set inherited comes from the tuple's own lineage, stamped
+// when the producer consumed its input.
 func (e *Eddy) emit(t *tuple.Tuple) {
 	e.enqueueDerived(t, nil)
 }
 
-// idleModules gives asynchronous modules a chance to complete parked
-// work. Reports whether any module made progress.
-func (e *Eddy) idleModules() (bool, error) {
-	worked := false
-	for _, m := range e.modules {
-		if idler, ok := m.(operator.Idler); ok {
-			w, err := idler.Idle(e.emit)
-			if err != nil {
-				return worked, err
-			}
-			worked = worked || w
-		}
-	}
-	return worked, nil
-}
-
-// RunUntilIdle steps until no queued work remains and no module reports
-// idle progress. maxSteps bounds runaway loops (0 = 1<<30).
+// RunUntilIdle steps until no queued work remains. maxSteps bounds
+// runaway loops (0 = 1<<30).
 func (e *Eddy) RunUntilIdle(maxSteps int) error {
 	if maxSteps <= 0 {
 		maxSteps = 1 << 30
@@ -639,22 +591,10 @@ func (e *Eddy) RunUntilIdle(maxSteps int) error {
 	return fmt.Errorf("eddy: exceeded %d steps", maxSteps)
 }
 
-// Flush ends the input streams: pending admission batches are routed,
-// async modules drained, and window state flushed (the Eddy "shuts down
-// its connected modules when the end of all of its input streams has
-// been reached").
+// Flush ends the input streams: pending admission batches are routed
+// and window state flushed (the Eddy "shuts down its connected modules
+// when the end of all of its input streams has been reached").
 func (e *Eddy) Flush() error {
-	if err := e.RunUntilIdle(0); err != nil {
-		return err
-	}
-	// Drain async modules that may still hold in-flight work.
-	for _, m := range e.modules {
-		if ai, ok := m.(*operator.AsyncIndex); ok {
-			if err := ai.Drain(e.emit, 5*time.Second); err != nil {
-				return err
-			}
-		}
-	}
 	if err := e.RunUntilIdle(0); err != nil {
 		return err
 	}

@@ -255,45 +255,6 @@ func TestAlternativeGroupRoutesOnce(t *testing.T) {
 	}
 }
 
-// bounceModule bounces each tuple a fixed number of times before passing.
-type bounceModule struct {
-	n     int
-	seen  map[*tuple.Tuple]int
-	total int
-}
-
-func (b *bounceModule) Name() string                   { return "bouncer" }
-func (b *bounceModule) Interested(t *tuple.Tuple) bool { return true }
-func (b *bounceModule) Process(t *tuple.Tuple, _ operator.Emit) (operator.Outcome, error) {
-	if b.seen == nil {
-		b.seen = map[*tuple.Tuple]int{}
-	}
-	b.seen[t]++
-	b.total++
-	if b.seen[t] <= b.n {
-		return operator.Bounce, nil
-	}
-	return operator.Pass, nil
-}
-
-func TestBounceRetriesAndCompletes(t *testing.T) {
-	bm := &bounceModule{n: 2}
-	var out []*tuple.Tuple
-	e := New([]operator.Module{bm}, NewFixed([]int{0}), func(x *tuple.Tuple) { out = append(out, x) })
-	for i := int64(0); i < 5; i++ {
-		_ = e.Admit(row("S", i+1, i, 0))
-	}
-	if err := e.RunUntilIdle(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 5 {
-		t.Fatalf("outputs = %d", len(out))
-	}
-	if e.Stats().Bounced != 10 {
-		t.Fatalf("bounced = %d", e.Stats().Bounced)
-	}
-}
-
 func TestEddyWithWindowAggFlush(t *testing.T) {
 	spec := window.Landmark("S", 1, 1, 3)
 	agg, err := operator.NewWindowAgg("agg", "S", spec, 0, nil,

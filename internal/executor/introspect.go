@@ -247,7 +247,7 @@ func (x *Executor) registerSystemStreams() {
 			col("eo", tuple.KindInt), col("module", tuple.KindString),
 			col("routed", tuple.KindInt), col("passed", tuple.KindInt),
 			col("dropped", tuple.KindInt), col("consumed", tuple.KindInt),
-			col("bounced", tuple.KindInt), col("work_ns", tuple.KindInt),
+			col("work_ns", tuple.KindInt),
 			col("selectivity", tuple.KindFloat), col("cost_ns", tuple.KindFloat),
 		}},
 		{StreamQueues, []tuple.Column{
@@ -346,7 +346,7 @@ func (x *Executor) SampleSystemStreams() {
 				tuple.Int(eoID), tuple.String(ms.Name),
 				tuple.Int(ms.Routed), tuple.Int(ms.Passed),
 				tuple.Int(ms.Dropped), tuple.Int(ms.Consumed),
-				tuple.Int(ms.Bounced), tuple.Int(ms.WorkNs),
+				tuple.Int(ms.WorkNs),
 				tuple.Float(ms.Selectivity()), tuple.Float(ms.CostNs()),
 			})
 		}
@@ -573,7 +573,6 @@ func (x *Executor) registerCollectors() {
 				counter("tcq_module_passed_total", "tuples the module passed", ms.Passed, lEO, lMod)
 				counter("tcq_module_dropped_total", "tuples the module dropped", ms.Dropped, lEO, lMod)
 				counter("tcq_module_consumed_total", "tuples the module consumed", ms.Consumed, lEO, lMod)
-				counter("tcq_module_bounced_total", "tuples the module bounced", ms.Bounced, lEO, lMod)
 				counter("tcq_module_work_ns_total", "cumulative module processing time", ms.WorkNs, lEO, lMod)
 				gauge("tcq_module_selectivity", "estimated fraction of routed tuples surviving", ms.Selectivity(), lEO, lMod)
 				gauge("tcq_module_cost_ns", "estimated processing nanoseconds per routed tuple", ms.CostNs(), lEO, lMod)

@@ -321,7 +321,7 @@ func (g *shardGroup) step(w *idler) (exit bool) {
 			g.shutdown()
 			return true
 		}
-		// Idle dispatch: async modules, pending admission batches.
+		// Idle dispatch: pending admission batches.
 		_ = g.pin.quantum()
 	}
 	if w.rest(moved > 0) {

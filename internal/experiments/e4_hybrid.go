@@ -21,10 +21,10 @@ import (
 // hybrid beats both fixed plans over the whole run.
 //
 // Substitution note: the remote index's latency is modeled as
-// synchronous per-probe cost (the paper's asynchronous variant with a
-// rendezvous buffer is implemented and tested in operator.AsyncIndex;
-// the synchronous model isolates the routing decision from pipelining
-// effects so the crossover is measurable).
+// synchronous per-probe cost. The paper's asynchronous variant, with a
+// rendezvous buffer, is not implemented: no front end can plan a remote
+// index, and the synchronous model isolates the routing decision from
+// pipelining effects so the crossover is measurable.
 func E4JoinHybrid(scale int) *Table {
 	t := &Table{
 		ID:      "E4",

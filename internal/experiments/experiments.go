@@ -78,7 +78,7 @@ func All(scale int) []*Table {
 		E2GroupedFilter(scale),
 		E3EddyVsStatic(scale),
 		E4JoinHybrid(scale),
-		E5PSoup(scale),
+		E5Disconnected(scale),
 		E6Flux(scale),
 		E7Windows(scale),
 		E8Fjords(scale),
@@ -103,7 +103,7 @@ func ByID(id string, scale int) *Table {
 	case "E4":
 		return E4JoinHybrid(scale)
 	case "E5":
-		return E5PSoup(scale)
+		return E5Disconnected(scale)
 	case "E6":
 		return E6Flux(scale)
 	case "E7":

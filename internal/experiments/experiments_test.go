@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Smoke: every experiment runs at scale 1 and produces a table with rows.
@@ -27,6 +28,50 @@ func TestByID(t *testing.T) {
 	}
 	if ByID("nope", 1) != nil {
 		t.Fatal("ByID nope non-nil")
+	}
+}
+
+// E5's claims are asserted, not just printed: every reconnect returns the
+// same rows from the spool as from the archive, and at the largest
+// disconnection the materialized answer is the faster one.
+func TestE5Invariants(t *testing.T) {
+	tab := E5Disconnected(1)
+	t.Log("\n" + tab.Render())
+	if len(tab.Rows) == 0 {
+		t.Fatal("E5 has no rows")
+	}
+	col := map[string]int{}
+	for i, c := range tab.Columns {
+		col[c] = i
+	}
+	cell := func(row int, column string) string {
+		t.Helper()
+		i, ok := col[column]
+		if !ok {
+			t.Fatalf("E5 has no column %q", column)
+		}
+		return tab.Rows[row][i]
+	}
+	for r := range tab.Rows {
+		missed := cell(r, "missed")
+		if f, rc := cell(r, "fetched"), cell(r, "recomputed"); f != rc {
+			t.Errorf("missed %s: fetched %s rows, recomputed %s", missed, f, rc)
+		}
+		if same := cell(r, "same rows"); same != "yes" {
+			t.Errorf("missed %s: spool and archive answers differ", missed)
+		}
+	}
+	last := len(tab.Rows) - 1
+	dur := func(column string) time.Duration {
+		t.Helper()
+		d, err := time.ParseDuration(cell(last, column))
+		if err != nil {
+			t.Fatalf("column %q: %v", column, err)
+		}
+		return d
+	}
+	if mat, rec := dur("materialized"), dur("recompute"); mat >= rec {
+		t.Errorf("missed %s: materialized %v is not faster than recompute %v", cell(last, "missed"), mat, rec)
 	}
 }
 

@@ -7,10 +7,7 @@ import (
 )
 
 // Filter applies one boolean predicate and drops tuples that fail it —
-// the "Select" module of Figure 1. A SimCost duration can be configured
-// to model expensive predicates (remote lookups, user-defined functions)
-// in experiments; the cost is burned as spin work so routing policies
-// observe it.
+// the "Select" module of Figure 1.
 //
 // By default the predicate is compiled to bytecode per batch schema
 // (see internal/expr/prog); whole batches are then filtered through a
@@ -23,9 +20,6 @@ type Filter struct {
 	stats    Stats
 	compiled *prog.PredCache
 	sel      []int32 // ProcessVec selection scratch
-
-	// SimCostNs adds this many nanoseconds of synthetic work per tuple.
-	SimCostNs int64
 }
 
 // NewFilter builds a filter module (compiled evaluation on).
@@ -73,10 +67,6 @@ func (f *Filter) Interested(t *tuple.Tuple) bool {
 // Process implements Module.
 func (f *Filter) Process(t *tuple.Tuple, _ Emit) (Outcome, error) {
 	f.stats.In++
-	if f.SimCostNs > 0 {
-		spin(f.SimCostNs)
-		f.stats.WorkNsec += f.SimCostNs
-	}
 	var ok bool
 	var err error
 	if f.compiled != nil {
@@ -117,10 +107,6 @@ func (f *Filter) ProcessVec(cb *tuple.ColBatch, ts []*tuple.Tuple, keep []bool) 
 	if err != nil {
 		return false // replay through the interpreter
 	}
-	if f.SimCostNs > 0 {
-		spin(f.SimCostNs * int64(n))
-		f.stats.WorkNsec += f.SimCostNs * int64(n)
-	}
 	for i := 0; i < n; i++ {
 		keep[i] = false
 	}
@@ -135,26 +121,3 @@ func (f *Filter) ProcessVec(cb *tuple.ColBatch, ts []*tuple.Tuple, keep []bool) 
 
 // ModuleStats implements StatsProvider.
 func (f *Filter) ModuleStats() Stats { return f.stats }
-
-// spin burns approximately ns nanoseconds of CPU. Synthetic operator
-// cost must be CPU work (not sleep) so that single-threaded Execution
-// Objects observe it the way the paper's cost model does.
-func spin(ns int64) {
-	if ns <= 0 {
-		return
-	}
-	// Calibrated loop: a simple multiply-add chain. The constant is
-	// conservative; experiments compare relative costs, not absolutes.
-	n := ns * spinIterPerNs
-	acc := uint64(1)
-	for i := int64(0); i < n; i++ {
-		acc = acc*6364136223846793005 + 1442695040888963407
-	}
-	spinSink = acc
-}
-
-// spinIterPerNs approximates iterations per nanosecond; 1 keeps the
-// synthetic cost within the right order of magnitude on modern CPUs.
-const spinIterPerNs = 1
-
-var spinSink uint64

@@ -69,18 +69,6 @@ func TestFilterError(t *testing.T) {
 	}
 }
 
-func TestFilterSimCost(t *testing.T) {
-	f := NewFilter("f", expr.Bin(expr.OpGt, expr.Col("", "price"), expr.Lit(tuple.Float(0))))
-	f.SimCostNs = 1000
-	_, _ = f.Process(stock(1, "A", 1), noEmit)
-	if f.ModuleStats().WorkNsec != 1000 {
-		t.Fatalf("WorkNsec = %d", f.ModuleStats().WorkNsec)
-	}
-	if f.ModuleStats().CostPerTuple() != 1000 {
-		t.Fatalf("CostPerTuple = %v", f.ModuleStats().CostPerTuple())
-	}
-}
-
 func TestStatsZeroValue(t *testing.T) {
 	var s Stats
 	if s.Selectivity() != 1 || s.CostPerTuple() != 0 {
@@ -89,7 +77,7 @@ func TestStatsZeroValue(t *testing.T) {
 }
 
 func TestOutcomeString(t *testing.T) {
-	for o, want := range map[Outcome]string{Pass: "pass", Drop: "drop", Consumed: "consumed", Bounce: "bounce"} {
+	for o, want := range map[Outcome]string{Pass: "pass", Drop: "drop", Consumed: "consumed"} {
 		if o.String() != want {
 			t.Errorf("%d.String() = %q", o, o.String())
 		}

@@ -319,20 +319,10 @@ func (g *GroupedFilter) ProcessVec(cb *tuple.ColBatch, ts []*tuple.Tuple, keep [
 	return true
 }
 
-// MatchQueries is the PSoup-facing probe: it returns the set of queries
-// whose factors on this attribute all pass for value v, given the
-// universe of registered queries.
-func (g *GroupedFilter) MatchQueries(v tuple.Value, universe *bitset.Set) (*bitset.Set, error) {
-	out := bitset.New(0)
-	if err := g.MatchQueriesInto(v, universe, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MatchQueriesInto is the allocation-free form of MatchQueries: it
-// overwrites out with the passing subset of universe, reusing out's
-// storage. Like Process, it must run on the owning thread.
+// MatchQueriesInto overwrites out with the queries of universe whose
+// factors on this attribute all pass for value v, reusing out's storage:
+// the grouped-filter probe on its own, outside routing. Like Process, it
+// must run on the owning thread.
 func (g *GroupedFilter) MatchQueriesInto(v tuple.Value, universe, out *bitset.Set) error {
 	out.CopyFrom(universe)
 	g.failScratch.Clear()

@@ -187,12 +187,12 @@ func TestGroupedFilterMatchQueries(t *testing.T) {
 	addFactor(t, g, 0, expr.OpGt, 50)
 	addFactor(t, g, 1, expr.OpLt, 50)
 	universe := bitset.FromIndices(0, 1, 2)
-	got, err := g.MatchQueries(tuple.Float(70), universe)
-	if err != nil {
+	got := bitset.New(0)
+	if err := g.MatchQueriesInto(tuple.Float(70), universe, got); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Contains(0) || got.Contains(1) || !got.Contains(2) {
-		t.Fatalf("MatchQueries = %v", got)
+		t.Fatalf("MatchQueriesInto = %v", got)
 	}
 }
 
@@ -224,8 +224,8 @@ func TestGroupedFilterAgainstNaive(t *testing.T) {
 			for q := 0; q < nq; q++ {
 				universe.Add(q)
 			}
-			got, err := g.MatchQueries(v, universe)
-			if err != nil {
+			got := bitset.New(nq)
+			if err := g.MatchQueriesInto(v, universe, got); err != nil {
 				t.Fatal(err)
 			}
 			for q := 0; q < nq; q++ {
@@ -259,9 +259,10 @@ func BenchmarkGroupedFilterProbe(b *testing.B) {
 			for q := 0; q < n; q++ {
 				universe.Add(q)
 			}
+			out := bitset.New(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := g.MatchQueries(tuple.Float(float64(i%n)), universe); err != nil {
+				if err := g.MatchQueriesInto(tuple.Float(float64(i%n)), universe, out); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -303,7 +304,7 @@ func TestGroupedFilterProbeZeroAlloc(t *testing.T) {
 		t.Fatalf("grouped filter probe allocates %.1f per run, want 0", allocs)
 	}
 
-	// The PSoup-facing probe must be zero-alloc too.
+	// The standalone probe must be zero-alloc too.
 	out := bitset.New(0)
 	if err := g.MatchQueriesInto(tuple.Float(50), universe, out); err != nil {
 		t.Fatal(err)

@@ -7,12 +7,19 @@ import (
 	"telegraphcq/internal/tuple"
 )
 
+// SortKey is one ORDER BY term.
+type SortKey struct {
+	Expr expr.Expr
+	Desc bool
+}
+
 // Juggle performs online reordering of an in-flight stream, prioritizing
 // records by content (Raman, Raman & Hellerstein, VLDB 1999; listed among
 // the adaptive routing modules in Figure 1). It buffers up to Capacity
-// tuples in a priority heap; each Idle cycle it releases the
-// highest-priority buffered tuple, so records the user cares about reach
-// the output first while the full stream is still delivered eventually.
+// tuples in a priority heap; once the buffer is full each arrival
+// releases the highest-priority buffered tuple, so records the user cares
+// about reach the output first while the full stream is still delivered
+// (the rest at Flush).
 //
 // Priority is a numeric expression; larger is sooner. The user can
 // re-prioritize mid-stream (interactive control, §1.1 "users may choose
@@ -91,17 +98,6 @@ func (j *Juggle) Process(t *tuple.Tuple, emit Emit) (Outcome, error) {
 		emit(best.t)
 	}
 	return Consumed, nil
-}
-
-// Idle implements Idler: release one buffered tuple per spare cycle.
-func (j *Juggle) Idle(emit Emit) (bool, error) {
-	if len(j.h.items) == 0 {
-		return false, nil
-	}
-	best := heap.Pop(&j.h).(juggleItem)
-	j.stats.Out++
-	emit(best.t)
-	return true, nil
 }
 
 // Flush implements Flusher: release everything in priority order.

@@ -1,76 +1,13 @@
 package operator
 
 import (
-	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/stem"
 	"telegraphcq/internal/tuple"
 )
-
-func TestWindowSortAscDesc(t *testing.T) {
-	keys := []SortKey{
-		{Expr: expr.Col("", "sym")},
-		{Expr: expr.Col("", "price"), Desc: true},
-	}
-	s := NewWindowSort("sort", keys, 100)
-	var out []*tuple.Tuple
-	rows := [][2]any{{"B", 1.0}, {"A", 2.0}, {"A", 9.0}, {"B", 7.0}}
-	for i, r := range rows {
-		_, err := s.Process(stock(int64(i+1), r[0].(string), r[1].(float64)), collect(&out))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(out) != 0 {
-		t.Fatal("emitted before flush")
-	}
-	if err := s.Flush(collect(&out)); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]string, len(out))
-	for i, r := range out {
-		got[i] = fmt.Sprintf("%s/%v", r.Values[1].S, r.Values[2].F)
-	}
-	want := []string{"A/9", "A/2", "B/7", "B/1"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v", got)
-		}
-	}
-}
-
-func TestWindowSortAutoFlushAtBound(t *testing.T) {
-	s := NewWindowSort("sort", []SortKey{{Expr: expr.Col("", "price")}}, 3)
-	var out []*tuple.Tuple
-	for i := 0; i < 3; i++ {
-		_, _ = s.Process(stock(int64(i+1), "A", float64(3-i)), collect(&out))
-	}
-	if len(out) != 3 {
-		t.Fatalf("auto flush emitted %d", len(out))
-	}
-	if out[0].Values[2].F != 1 || out[2].Values[2].F != 3 {
-		t.Fatalf("order: %v", out)
-	}
-}
-
-func TestWindowSortStable(t *testing.T) {
-	s := NewWindowSort("sort", []SortKey{{Expr: expr.Col("", "sym")}}, 100)
-	var out []*tuple.Tuple
-	for i := 1; i <= 4; i++ {
-		_, _ = s.Process(stock(int64(i), "same", float64(i)), collect(&out))
-	}
-	_ = s.Flush(collect(&out))
-	for i := 0; i < 4; i++ {
-		if out[i].TS.Seq != int64(i+1) {
-			t.Fatalf("stability violated: %v", out)
-		}
-	}
-}
 
 func TestJuggleReleasesHighPriorityFirst(t *testing.T) {
 	j := NewJuggle("jug", expr.Col("", "price"), 100)
@@ -85,15 +22,13 @@ func TestJuggleReleasesHighPriorityFirst(t *testing.T) {
 	if j.Buffered() != 5 {
 		t.Fatalf("buffered = %d", j.Buffered())
 	}
-	// Idle releases one at a time, best first.
-	worked, err := j.Idle(collect(&out))
-	if !worked || err != nil {
-		t.Fatal("idle did not work")
+	// Flush releases everything, best first.
+	if err := j.Flush(collect(&out)); err != nil {
+		t.Fatal(err)
 	}
-	if out[0].Values[2].F != 9 {
-		t.Fatalf("first release = %v", out[0])
+	if len(out) != 5 || j.Buffered() != 0 {
+		t.Fatalf("flushed %d, %d still buffered", len(out), j.Buffered())
 	}
-	_ = j.Flush(collect(&out))
 	got := make([]float64, len(out))
 	for i, r := range out {
 		got[i] = r.Values[2].F
@@ -125,7 +60,7 @@ func TestJuggleReprioritize(t *testing.T) {
 	if err := j.SetPriority(expr.Neg(expr.Col("", "price"))); err != nil {
 		t.Fatal(err)
 	}
-	_, _ = j.Idle(collect(&out))
+	_ = j.Flush(collect(&out))
 	if out[0].Values[2].F != 1 {
 		t.Fatalf("after reprioritize, first = %v", out[0])
 	}
@@ -141,114 +76,6 @@ func TestJuggleFIFOTiebreak(t *testing.T) {
 	for i, r := range out {
 		if r.TS.Seq != int64(i+1) {
 			t.Fatalf("tiebreak order: %v", out)
-		}
-	}
-}
-
-func TestJuggleIdleEmpty(t *testing.T) {
-	j := NewJuggle("jug", expr.Col("", "price"), 4)
-	worked, err := j.Idle(noEmit)
-	if worked || err != nil {
-		t.Fatal("idle on empty buffer")
-	}
-}
-
-func edgeTuple(seq int64, from, to string) *tuple.Tuple {
-	s := tuple.NewSchema(
-		tuple.Column{Source: "edges", Name: "src", Kind: tuple.KindString},
-		tuple.Column{Source: "edges", Name: "dst", Kind: tuple.KindString},
-	)
-	t := tuple.New(s, tuple.String(from), tuple.String(to))
-	t.TS = tuple.Timestamp{Seq: seq}
-	return t
-}
-
-func TestTransitiveClosureChain(t *testing.T) {
-	tc := NewTransitiveClosure("tc", expr.Col("", "src"), expr.Col("", "dst"))
-	var out []*tuple.Tuple
-	_, _ = tc.Process(edgeTuple(1, "a", "b"), collect(&out))
-	_, _ = tc.Process(edgeTuple(2, "b", "c"), collect(&out))
-	_, _ = tc.Process(edgeTuple(3, "c", "d"), collect(&out))
-	// pairs: ab; bc,ac; cd,bd,ad
-	if len(out) != 6 {
-		t.Fatalf("pairs = %d", len(out))
-	}
-	seen := map[string]bool{}
-	for _, p := range out {
-		seen[p.Values[0].S+p.Values[1].S] = true
-	}
-	for _, want := range []string{"ab", "bc", "ac", "cd", "bd", "ad"} {
-		if !seen[want] {
-			t.Fatalf("missing pair %s (got %v)", want, seen)
-		}
-	}
-	if tc.Size() != 6 {
-		t.Fatalf("Size = %d", tc.Size())
-	}
-}
-
-func TestTransitiveClosureNoDuplicatesOrSelfLoops(t *testing.T) {
-	tc := NewTransitiveClosure("tc", expr.Col("", "src"), expr.Col("", "dst"))
-	var out []*tuple.Tuple
-	_, _ = tc.Process(edgeTuple(1, "a", "b"), collect(&out))
-	_, _ = tc.Process(edgeTuple(2, "a", "b"), collect(&out)) // duplicate edge
-	_, _ = tc.Process(edgeTuple(3, "b", "a"), collect(&out)) // cycle
-	// Pairs: ab, then ba. Self pairs aa/bb excluded.
-	if len(out) != 2 {
-		t.Fatalf("pairs = %d: %v", len(out), out)
-	}
-}
-
-// Property: emitted pairs equal Floyd–Warshall reachability on a random
-// edge list.
-func TestTransitiveClosureAgainstFloydWarshall(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		const n = 8
-		tc := NewTransitiveClosure("tc", expr.Col("", "src"), expr.Col("", "dst"))
-		var out []*tuple.Tuple
-		reach := [n][n]bool{}
-		for e := 0; e < 15; e++ {
-			a, b := r.Intn(n), r.Intn(n)
-			if a == b {
-				continue
-			}
-			reach[a][b] = true
-			_, err := tc.Process(edgeTuple(int64(e), fmt.Sprintf("n%d", a), fmt.Sprintf("n%d", b)), collect(&out))
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		for k := 0; k < n; k++ {
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if reach[i][k] && reach[k][j] {
-						reach[i][j] = true
-					}
-				}
-			}
-		}
-		got := map[string]bool{}
-		for _, p := range out {
-			got[p.Values[0].S+">"+p.Values[1].S] = true
-		}
-		want := 0
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j && reach[i][j] {
-					want++
-					if !got[fmt.Sprintf("n%d>n%d", i, j)] {
-						t.Fatalf("trial %d: missing n%d>n%d", trial, i, j)
-					}
-				}
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("trial %d: %d pairs, want %d", trial, len(got), want)
-		}
-		tc.EvictAll()
-		if tc.Size() != 0 {
-			t.Fatal("EvictAll left state")
 		}
 	}
 }
@@ -369,120 +196,5 @@ func TestStemModuleNotInterestedWithoutFactor(t *testing.T) {
 	r := trade("R", 1, "A", 1)
 	if st.Interested(r) {
 		t.Fatal("unrelated stream probes SteM (cross product)")
-	}
-}
-
-// ------------------------- AsyncIndex ---------------------------------
-
-func remoteTable() map[string][]*tuple.Tuple {
-	return map[string][]*tuple.Tuple{
-		"MSFT": {trade("T", 0, "MSFT", 500)},
-		"IBM":  {trade("T", 0, "IBM", 300), trade("T", 0, "IBM", 301)},
-	}
-}
-
-func TestAsyncIndexLookupAndCache(t *testing.T) {
-	table := remoteTable()
-	calls := 0
-	ai := NewAsyncIndex("idx", "T", expr.Col("S", "sym"), "sym",
-		func(k tuple.Value) ([]*tuple.Tuple, error) {
-			calls++
-			return table[k.S], nil
-		}, 0)
-
-	var out []*tuple.Tuple
-	o, err := ai.Process(trade("S", 1, "MSFT", 1), collect(&out))
-	if err != nil || o != Consumed {
-		t.Fatalf("process: %v %v", o, err)
-	}
-	if ai.Pending() != 1 {
-		t.Fatalf("pending = %d", ai.Pending())
-	}
-	if err := ai.Drain(collect(&out), time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || ai.Pending() != 0 {
-		t.Fatalf("out = %d pending = %d", len(out), ai.Pending())
-	}
-	if ai.CacheSize() != 1 {
-		t.Fatalf("cache = %d", ai.CacheSize())
-	}
-	// Second probe with the same key: cache hit, synchronous, no new call.
-	o, err = ai.Process(trade("S", 2, "MSFT", 2), collect(&out))
-	if err != nil || o != Pass {
-		t.Fatalf("cache hit: %v %v", o, err)
-	}
-	if len(out) != 2 || calls != 1 {
-		t.Fatalf("out = %d calls = %d", len(out), calls)
-	}
-}
-
-func TestAsyncIndexMultiMatchAndLineage(t *testing.T) {
-	table := remoteTable()
-	ai := NewAsyncIndex("idx", "T", expr.Col("S", "sym"), "sym",
-		func(k tuple.Value) ([]*tuple.Tuple, error) { return table[k.S], nil }, 0)
-	probe := trade("S", 1, "IBM", 1)
-	probe.Lineage().Queries.Add(2)
-	var out []*tuple.Tuple
-	_, _ = ai.Process(probe, collect(&out))
-	_ = ai.Drain(collect(&out), time.Second)
-	if len(out) != 2 {
-		t.Fatalf("IBM matches = %d", len(out))
-	}
-	for _, j := range out {
-		if !j.Lin.Queries.Contains(2) {
-			t.Fatal("lineage lost")
-		}
-		if !j.Schema.HasSource("S") || !j.Schema.HasSource("T") {
-			t.Fatalf("schema: %v", j.Schema)
-		}
-	}
-}
-
-func TestAsyncIndexMissingKeyNoMatches(t *testing.T) {
-	ai := NewAsyncIndex("idx", "T", expr.Col("S", "sym"), "sym",
-		func(k tuple.Value) ([]*tuple.Tuple, error) { return nil, nil }, 0)
-	var out []*tuple.Tuple
-	_, _ = ai.Process(trade("S", 1, "NOPE", 1), collect(&out))
-	_ = ai.Drain(collect(&out), time.Second)
-	if len(out) != 0 {
-		t.Fatal("matches for absent key")
-	}
-	// Negative result is cached too.
-	o, _ := ai.Process(trade("S", 2, "NOPE", 1), collect(&out))
-	if o != Pass {
-		t.Fatal("negative cache miss")
-	}
-}
-
-func TestAsyncIndexLatency(t *testing.T) {
-	ai := NewAsyncIndex("idx", "T", expr.Col("S", "sym"), "sym",
-		func(k tuple.Value) ([]*tuple.Tuple, error) { return nil, nil }, 20*time.Millisecond)
-	var out []*tuple.Tuple
-	start := time.Now()
-	_, _ = ai.Process(trade("S", 1, "X", 1), collect(&out))
-	if worked, _ := ai.Idle(collect(&out)); worked {
-		t.Fatal("completed before latency elapsed")
-	}
-	_ = ai.Drain(collect(&out), time.Second)
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Fatalf("completed too fast: %v", elapsed)
-	}
-	ai.SetLatency(0)
-}
-
-func TestAsyncIndexInterested(t *testing.T) {
-	ai := NewAsyncIndex("idx", "T", expr.Col("S", "sym"), "sym",
-		func(k tuple.Value) ([]*tuple.Tuple, error) { return nil, nil }, 0)
-	if !ai.Interested(trade("S", 1, "A", 1)) {
-		t.Fatal("not interested in probe")
-	}
-	if ai.Interested(trade("T", 1, "A", 1)) {
-		t.Fatal("interested in tuple already spanning T")
-	}
-	if ai.Interested(trade("R", 1, "A", 1)) {
-		// R has a sym column so the key resolves; the module is a valid
-		// access path for any tuple carrying the key column.
-		_ = 0
 	}
 }

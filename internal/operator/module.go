@@ -1,11 +1,10 @@
 // Package operator implements the pipelined, non-blocking dataflow
 // modules of Figure 1 in the paper: selections (Filter), CACQ grouped
 // filters, projections, windowed grouping/aggregation, duplicate
-// elimination, sorting, transitive closure, the Juggle online reorderer,
-// and an asynchronous index access method. Modules consume and produce
-// tuples through a uniform interface so an Eddy can route among them
-// without knowing what they do (§2.1: "architecturally, these modules
-// are indistinguishable").
+// elimination, SteM join modules and the Juggle online reorderer that
+// serves ORDER BY. Modules consume and produce tuples through a uniform
+// interface so an Eddy can route among them without knowing what they
+// do (§2.1: "architecturally, these modules are indistinguishable").
 package operator
 
 import "telegraphcq/internal/tuple"
@@ -20,13 +19,9 @@ const (
 	// the router discards it.
 	Drop
 	// Consumed: the module retained the tuple (e.g. an aggregate absorbed
-	// it, an async join parked it in a rendezvous buffer); routing of this
-	// tuple ends but derived tuples may be emitted now or later.
+	// it); routing of this tuple ends but derived tuples may be emitted
+	// now or at Flush.
 	Consumed
-	// Bounce: the module cannot process the tuple right now; the router
-	// should retry later (§2.2: a module "can also optionally return
-	// (or bounce back) t to the Eddy").
-	Bounce
 )
 
 func (o Outcome) String() string {
@@ -37,8 +32,6 @@ func (o Outcome) String() string {
 		return "drop"
 	case Consumed:
 		return "consumed"
-	case Bounce:
-		return "bounce"
 	default:
 		return "?"
 	}
@@ -64,7 +57,7 @@ type Module interface {
 // must be externally indistinguishable from calling Process on each
 // tuple of ts in order: keep[i]=false marks lane i dropped, and stats
 // advance exactly as the per-tuple path would. Only modules that never
-// emit, bounce, or consume qualify. handled=false means the caller must
+// emit or consume qualify. handled=false means the caller must
 // replay the batch tuple-at-a-time through Process; an implementation
 // may return false after partial work only if that work is idempotent
 // under replay (grouped-filter lineage subtraction is — Subtract of the
@@ -72,15 +65,6 @@ type Module interface {
 type VecModule interface {
 	Module
 	ProcessVec(cb *tuple.ColBatch, ts []*tuple.Tuple, keep []bool) (handled bool)
-}
-
-// Idler is implemented by modules with internal asynchrony (e.g. an
-// asynchronous index join waiting on remote lookups). The scheduler calls
-// Idle when it has spare cycles — the Fjords discipline of using
-// non-blocking dequeues to "pursue other computation". It returns true if
-// the module did work.
-type Idler interface {
-	Idle(emit Emit) (bool, error)
 }
 
 // Flusher is implemented by modules holding window state that must be
@@ -94,7 +78,6 @@ type Stats struct {
 	In       int64 // tuples routed in
 	Out      int64 // tuples emitted
 	Dropped  int64 // tuples dropped
-	Bounced  int64 // tuples bounced
 	WorkNsec int64 // cumulative processing time, nanoseconds
 }
 

@@ -266,3 +266,26 @@ func (m *StemModule) EvictBefore(seq int64) int { return m.st.EvictBefore(seq) }
 
 // ModuleStats implements StatsProvider.
 func (m *StemModule) ModuleStats() Stats { return m.stats }
+
+// spin burns approximately ns nanoseconds of CPU. Synthetic operator
+// cost must be CPU work (not sleep) so that single-threaded Execution
+// Objects observe it the way the paper's cost model does.
+func spin(ns int64) {
+	if ns <= 0 {
+		return
+	}
+	// Calibrated loop: a simple multiply-add chain. The constant is
+	// conservative; experiments compare relative costs, not absolutes.
+	n := ns * spinIterPerNs
+	acc := uint64(1)
+	for i := int64(0); i < n; i++ {
+		acc = acc*6364136223846793005 + 1442695040888963407
+	}
+	spinSink = acc
+}
+
+// spinIterPerNs approximates iterations per nanosecond; 1 keeps the
+// synthetic cost within the right order of magnitude on modern CPUs.
+const spinIterPerNs = 1
+
+var spinSink uint64

@@ -16,6 +16,7 @@ import (
 	"telegraphcq/internal/operator"
 	"telegraphcq/internal/sql"
 	"telegraphcq/internal/tuple"
+	"telegraphcq/internal/window"
 )
 
 // Feed tells the executor to deliver tuples of Stream into the dataflow
@@ -206,6 +207,12 @@ func (p *Planner) PlanSelect(s *sql.Select, id int) (*Planned, error) {
 		}
 		if err := s.Window.Validate(); err != nil {
 			return nil, fmt.Errorf("plan: %w", err)
+		}
+		// A backward window browses an archive's history and completes; it
+		// is never a standing query (the embedded system serves it from the
+		// archive before planning).
+		if kind, _, _ := s.Window.Classify(); kind == window.KindBackward {
+			return nil, fmt.Errorf("plan: backward windows are historical queries over an ARCHIVED stream's archive, not standing queries")
 		}
 		q.Window = s.Window
 	}

@@ -342,6 +342,12 @@ func (c *session) dispatch(text string) {
 		c.sendErr(err)
 		return
 	}
+	// The daemon keeps no archive: refuse ARCHIVED rather than create a
+	// stream whose history nothing records.
+	if cs, ok := st.(*sql.CreateStream); ok && cs.Archived {
+		c.sendErr(fmt.Errorf("server: stream %s is ARCHIVED but no DataDir configured", cs.Name))
+		return
+	}
 	src, err := plan.ApplyDDL(c.srv.Cat, st)
 	if err != nil {
 		c.sendErr(err)

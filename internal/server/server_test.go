@@ -93,6 +93,30 @@ func TestDDLErrorsReported(t *testing.T) {
 	}
 }
 
+// The daemon keeps no archive, so it refuses what only an archive can
+// serve — ARCHIVED streams and backward windows — instead of accepting
+// them and never answering.
+func TestArchivedAndBackwardWindowsRefused(t *testing.T) {
+	_, front, _ := startServer(t)
+	cli, err := Dial(front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	err = cli.Exec(`CREATE STREAM q (id int, sym string, price float) ARCHIVED`)
+	if err == nil || !strings.Contains(err.Error(), "ARCHIVED") {
+		t.Fatalf("ARCHIVED stream: err = %v, want a refusal", err)
+	}
+	// The refusal left no stream behind.
+	if err := cli.Exec(`CREATE STREAM q (id int, sym string, price float)`); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = cli.Query(`SELECT id FROM q FOR (t = ST; t > ST - 40; t -= 20) { WindowIs(q, t - 19, t); }`)
+	if err == nil || !strings.Contains(err.Error(), "backward") {
+		t.Fatalf("backward window: err = %v, want a refusal", err)
+	}
+}
+
 func TestInsertAndStreamTableJoin(t *testing.T) {
 	_, front, wrapper := startServer(t)
 	cli, _ := Dial(front)

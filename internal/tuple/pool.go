@@ -22,10 +22,10 @@ import (
 //     *retires* a tuple may recycle it: the eddy when routing drops it,
 //     egress after final delivery, a producer whose enqueue was shed.
 //   - A module that stores a tuple beyond the call that received it
-//     (SteM entries, PSoup history, spooled results, rows shared by
-//     several queries' deliveries) must call Retain first. A retained
-//     tuple is never pooled — Recycle on it is a no-op — so long-lived
-//     references stay valid without reference counting.
+//     (SteM entries, spooled results, rows shared by several queries'
+//     deliveries) must call Retain first. A retained tuple is never
+//     pooled — Recycle on it is a no-op — so long-lived references stay
+//     valid without reference counting.
 //   - Recycling nil is a no-op, so error paths need no guards.
 //
 // Build with -tags tcqdebug to poison buffers on Put: a stale reference
