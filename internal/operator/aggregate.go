@@ -3,6 +3,7 @@ package operator
 import (
 	"fmt"
 	"math"
+	"unicode/utf8"
 
 	"telegraphcq/internal/expr"
 	"telegraphcq/internal/tuple"
@@ -113,11 +114,11 @@ type WindowAgg struct {
 	groups map[string]*groupAcc // Incremental/Deque accumulators
 	order  []string             // group emission order (first seen)
 
+	countStar bool          // some aggregate is COUNT(*)
+	keyBuf    []byte        // reused group-key bytes
+	keyVals   []tuple.Value // reused group-column values
+
 	stats Stats
-	// MaxWindow caps buffered tuples per window for Recompute (0 =
-	// unlimited); a QoS shedding knob.
-	MaxWindow int
-	shed      int64
 }
 
 // NewWindowAgg builds the module. st is the query's bound start time (ST
@@ -166,6 +167,9 @@ func NewWindowAgg(name, stream string, spec *window.Spec, st int64,
 		strategy: strategy,
 		groups:   map[string]*groupAcc{},
 	}
+	for _, a := range aggs {
+		w.countStar = w.countStar || a.Arg == nil
+	}
 	w.cur, w.open = w.seq.Next()
 	if !w.open {
 		w.finished = true
@@ -199,9 +203,6 @@ func (w *WindowAgg) Name() string { return w.name }
 // Strategy returns the algorithm in use (after auto-selection).
 func (w *WindowAgg) Strategy() Strategy { return w.strategy }
 
-// Shed returns the number of tuples dropped by the MaxWindow QoS cap.
-func (w *WindowAgg) Shed() int64 { return w.shed }
-
 // StateSize returns the number of tuples/items currently held — the
 // §4.1.2 memory-requirement comparison measures this.
 func (w *WindowAgg) StateSize() int {
@@ -211,9 +212,9 @@ func (w *WindowAgg) StateSize() int {
 	default:
 		n := 0
 		for _, g := range w.groups {
-			n += len(g.ring.items)
-			for _, as := range g.aggStates {
-				n += len(as.minDq.items) + len(as.maxDq.items)
+			n += g.ring.len()
+			for i := range g.aggStates {
+				n += g.aggStates[i].dq.len() + g.aggStates[i].ring.len()
 			}
 		}
 		return n
@@ -258,10 +259,6 @@ func (w *WindowAgg) Process(t *tuple.Tuple, emit Emit) (Outcome, error) {
 
 func (w *WindowAgg) absorb(t *tuple.Tuple, x int64) error {
 	if w.strategy == StrategyRecompute {
-		if w.MaxWindow > 0 && len(w.buf) >= w.MaxWindow {
-			w.shed++
-			return nil
-		}
 		w.buf = append(w.buf, t)
 		return nil
 	}
@@ -269,39 +266,31 @@ func (w *WindowAgg) absorb(t *tuple.Tuple, x int64) error {
 	if err != nil {
 		return err
 	}
-	return g.add(t, x, w.aggs, w.strategy == StrategyDeque)
+	return w.fold(g, t, x, w.strategy == StrategyDeque)
 }
 
-// group finds or creates the accumulator for t's group.
+// group finds or creates the accumulator for t's group. The key is the
+// group columns' kind, text and a 0 byte each, built in a reused buffer;
+// the key string and the values are copied only for a new group.
 func (w *WindowAgg) group(groups map[string]*groupAcc, order *[]string, t *tuple.Tuple) (*groupAcc, error) {
-	key, vals, err := w.groupKey(t)
-	if err != nil {
-		return nil, err
-	}
-	g, ok := groups[key]
-	if !ok {
-		g = newGroupAcc(vals, len(w.aggs))
-		groups[key] = g
-		*order = append(*order, key)
-	}
-	return g, nil
-}
-
-func (w *WindowAgg) groupKey(t *tuple.Tuple) (string, []tuple.Value, error) {
-	if len(w.groupBy) == 0 {
-		return "", nil, nil
-	}
-	vals := make([]tuple.Value, len(w.groupBy))
-	var key string
-	for i, g := range w.groupBy {
-		v, err := g.Eval(t)
+	buf, vals := w.keyBuf[:0], w.keyVals[:0]
+	for _, c := range w.groupBy {
+		v, err := c.Eval(t)
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
-		vals[i] = v
-		key += string(rune(v.K)) + v.String() + "\x00"
+		vals = append(vals, v)
+		buf = utf8.AppendRune(buf, rune(v.K))
+		buf = append(v.AppendText(buf), 0)
 	}
-	return key, vals, nil
+	w.keyBuf, w.keyVals = buf, vals
+	if g, ok := groups[string(buf)]; ok {
+		return g, nil
+	}
+	g, k := newGroupAcc(append([]tuple.Value(nil), vals...), len(w.aggs)), string(buf)
+	groups[k] = g
+	*order = append(*order, k)
+	return g, nil
 }
 
 // closeWindow emits results for the current window, advances the
@@ -341,7 +330,7 @@ func (w *WindowAgg) evictBefore(left int64) {
 	case StrategyDeque:
 		for key, g := range w.groups {
 			g.evictBefore(left)
-			if g.count == 0 {
+			if g.last < left {
 				delete(w.groups, key)
 			}
 		}
@@ -410,7 +399,7 @@ func (w *WindowAgg) recomputeGroups(r window.Range) (map[string]*groupAcc, []str
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := g.add(t, x, w.aggs, false); err != nil {
+		if err := w.fold(g, t, x, false); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -432,41 +421,43 @@ func (w *WindowAgg) ModuleStats() Stats { return w.stats }
 
 // ------------------------------------------------------------ group acc
 
-// groupAcc holds one group's accumulators: one aggState per AggSpec plus
-// a tuple-count ring for COUNT(*) eviction under the Deque strategy.
+// groupAcc holds one group's accumulators: one aggState per AggSpec plus,
+// under the Deque strategy when the query has COUNT(*), a ring of every
+// row's instant so eviction can un-count it.
 type groupAcc struct {
 	key       []tuple.Value
-	count     int64 // all tuples in group (COUNT(*))
+	count     int64 // rows, for COUNT(*): under Deque exact only with the ring
+	last      int64 // newest row's instant; the group is empty once it is evicted
 	aggStates []aggState
-	ring      instantRing // instants of all tuples (Deque eviction)
+	ring      instantRing
 }
 
+// aggState keeps what its aggregate's kind reads. MIN and MAX keep one
+// monotonic deque under Deque and a running extremum otherwise; COUNT(arg),
+// SUM, AVG and STDDEV keep count/sum/sumsq, plus under Deque a ring of the
+// folded values to subtract on eviction.
 type aggState struct {
 	count float64 // non-null arg count
 	sum   float64
 	sumsq float64
-	min   tuple.Value
-	max   tuple.Value
-	minDq deque
-	maxDq deque
-	ring  valueRing // (instant, value) history for Deque eviction
+	ext   tuple.Value
+	dq    deque
+	ring  floatRing
 }
 
 func newGroupAcc(key []tuple.Value, nAggs int) *groupAcc {
-	g := &groupAcc{key: key, aggStates: make([]aggState, nAggs)}
-	for i := range g.aggStates {
-		g.aggStates[i].min = tuple.Null()
-		g.aggStates[i].max = tuple.Null()
-	}
-	return g
+	return &groupAcc{key: key, aggStates: make([]aggState, nAggs)}
 }
 
-func (g *groupAcc) add(t *tuple.Tuple, x int64, aggs []AggSpec, deques bool) error {
+// fold adds one row to g. deques selects the Deque strategy's state.
+func (w *WindowAgg) fold(g *groupAcc, t *tuple.Tuple, x int64, deques bool) error {
 	g.count++
-	if deques {
+	g.last = x
+	if deques && w.countStar {
 		g.ring.push(x)
 	}
-	for i, a := range aggs {
+	for i := range w.aggs {
+		a := &w.aggs[i]
 		if a.Arg == nil {
 			continue
 		}
@@ -478,20 +469,27 @@ func (g *groupAcc) add(t *tuple.Tuple, x int64, aggs []AggSpec, deques bool) err
 			continue
 		}
 		as := &g.aggStates[i]
-		f := v.AsFloat()
-		as.count++
-		as.sum += f
-		as.sumsq += f * f
-		if as.min.IsNull() || lessVal(v, as.min) {
-			as.min = v
-		}
-		if as.max.IsNull() || lessVal(as.max, v) {
-			as.max = v
-		}
-		if deques {
-			as.minDq.push(dqItem{v, x}, true)
-			as.maxDq.push(dqItem{v, x}, false)
-			as.ring.push(dqItem{v, x})
+		switch {
+		case a.Kind == AggMin && deques:
+			as.dq.push(dqItem{v, x}, true)
+		case a.Kind == AggMax && deques:
+			as.dq.push(dqItem{v, x}, false)
+		case a.Kind == AggMin:
+			if as.ext.IsNull() || lessVal(v, as.ext) {
+				as.ext = v
+			}
+		case a.Kind == AggMax:
+			if as.ext.IsNull() || lessVal(as.ext, v) {
+				as.ext = v
+			}
+		default:
+			f := v.AsFloat()
+			as.count++
+			as.sum += f
+			as.sumsq += f * f
+			if deques {
+				as.ring.push(floatItem{f, x})
+			}
 		}
 	}
 	return nil
@@ -515,16 +513,11 @@ func (g *groupAcc) result(i int, a AggSpec) tuple.Value {
 			return tuple.Null()
 		}
 		return tuple.Float(as.sum / as.count)
-	case AggMin:
-		if len(as.minDq.items) > 0 {
-			return as.minDq.items[0].v
+	case AggMin, AggMax:
+		if as.dq.len() > 0 {
+			return as.dq.front().v
 		}
-		return as.min
-	case AggMax:
-		if len(as.maxDq.items) > 0 {
-			return as.maxDq.items[0].v
-		}
-		return as.max
+		return as.ext
 	case AggStdDev:
 		if as.count == 0 {
 			return tuple.Null()
@@ -544,20 +537,8 @@ func (g *groupAcc) evictBefore(left int64) {
 	g.count -= g.ring.evictBefore(left)
 	for i := range g.aggStates {
 		as := &g.aggStates[i]
-		as.minDq.evictBefore(left)
-		as.maxDq.evictBefore(left)
+		as.dq.evictBefore(left)
 		as.ring.evictBeforeInto(left, as)
-		// min/max fall back to deque fronts after eviction.
-		if len(as.minDq.items) > 0 {
-			as.min = as.minDq.items[0].v
-		} else {
-			as.min = tuple.Null()
-		}
-		if len(as.maxDq.items) > 0 {
-			as.max = as.maxDq.items[0].v
-		} else {
-			as.max = tuple.Null()
-		}
 	}
 }
 
@@ -570,51 +551,82 @@ func emptyAgg(a AggSpec) tuple.Value {
 
 // ----------------------------------------------------------------- rings
 
+// fifo is a slice used as a queue ordered by instant: the live items are
+// items[head:], and eviction advances head. The slice is compacted only
+// once head passes half of it, so each item is copied O(1) times
+// amortized.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) push(it T) { q.items = append(q.items, it) }
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+// drop removes the n oldest live items.
+func (q *fifo[T]) drop(n int) {
+	q.head += n
+	if q.head > len(q.items)/2 {
+		k := copy(q.items, q.items[q.head:])
+		clear(q.items[k:]) // the dead tail would keep strings alive
+		q.items = q.items[:k]
+		q.head = 0
+	}
+}
+
+type instantRing struct{ fifo[int64] }
+
+func (r *instantRing) evictBefore(left int64) int64 {
+	n := 0
+	for _, x := range r.items[r.head:] {
+		if x >= left {
+			break
+		}
+		n++
+	}
+	r.drop(n)
+	return int64(n)
+}
+
+// floatItem is one folded value and the instant that admits it.
+type floatItem struct {
+	f   float64
+	seq int64
+}
+
+type floatRing struct{ fifo[floatItem] }
+
+func (r *floatRing) evictBeforeInto(left int64, as *aggState) {
+	n := 0
+	for _, it := range r.items[r.head:] {
+		if it.seq >= left {
+			break
+		}
+		as.count--
+		as.sum -= it.f
+		as.sumsq -= it.f * it.f
+		n++
+	}
+	r.drop(n)
+}
+
+// ----------------------------------------------------------------- deque
+
 // dqItem ties a value to the instant that admits it to the window.
 type dqItem struct {
 	v   tuple.Value
 	seq int64
 }
 
-type instantRing struct{ items []int64 }
+type deque struct{ fifo[dqItem] }
 
-func (r *instantRing) push(x int64) { r.items = append(r.items, x) }
-
-func (r *instantRing) evictBefore(left int64) int64 {
-	i := 0
-	for ; i < len(r.items) && r.items[i] < left; i++ {
-	}
-	if i > 0 {
-		r.items = append(r.items[:0], r.items[i:]...)
-	}
-	return int64(i)
-}
-
-type valueRing struct{ items []dqItem }
-
-func (r *valueRing) push(it dqItem) { r.items = append(r.items, it) }
-
-func (r *valueRing) evictBeforeInto(left int64, as *aggState) {
-	i := 0
-	for ; i < len(r.items) && r.items[i].seq < left; i++ {
-		f := r.items[i].v.AsFloat()
-		as.count--
-		as.sum -= f
-		as.sumsq -= f * f
-	}
-	if i > 0 {
-		r.items = append(r.items[:0], r.items[i:]...)
-	}
-}
-
-// ----------------------------------------------------------------- deque
-
-type deque struct{ items []dqItem }
+func (d *deque) front() dqItem { return d.items[d.head] }
 
 // push maintains monotonicity: a min-deque's values strictly increase
 // front to back; a max-deque's strictly decrease.
 func (d *deque) push(it dqItem, isMin bool) {
-	for len(d.items) > 0 {
+	for d.len() > 0 {
 		last := d.items[len(d.items)-1]
 		var pop bool
 		if isMin {
@@ -627,21 +639,32 @@ func (d *deque) push(it dqItem, isMin bool) {
 		}
 		d.items = d.items[:len(d.items)-1]
 	}
-	d.items = append(d.items, it)
+	d.fifo.push(it)
 }
 
 func (d *deque) evictBefore(left int64) {
-	i := 0
-	for ; i < len(d.items) && d.items[i].seq < left; i++ {
+	n := 0
+	for _, it := range d.items[d.head:] {
+		if it.seq >= left {
+			break
+		}
+		n++
 	}
-	if i > 0 {
-		d.items = append(d.items[:0], d.items[i:]...)
-	}
+	d.drop(n)
 }
 
 // lessVal is a total "less" over comparable values; incomparable pairs
-// report false (callers guarantee same-attribute values).
+// report false (callers guarantee same-attribute values). Same-kind int
+// and float pairs, the common case, skip tuple.Compare.
 func lessVal(a, b tuple.Value) bool {
+	if a.K == b.K {
+		switch a.K {
+		case tuple.KindInt:
+			return a.I < b.I
+		case tuple.KindFloat:
+			return a.F < b.F
+		}
+	}
 	c, ok := tuple.Compare(a, b)
 	return ok && c < 0
 }

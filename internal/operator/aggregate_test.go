@@ -270,24 +270,6 @@ func TestCountStarVsCountArg(t *testing.T) {
 	}
 }
 
-func TestMaxWindowShedding(t *testing.T) {
-	// ST=100: first window [1,100]; 50 arrivals, cap 10 → 40 shed.
-	spec := window.Sliding("stocks", 100, 100, 200)
-	aggs := []AggSpec{{Kind: AggCount}}
-	w, _ := NewWindowAgg("agg", "stocks", spec, 100, nil, aggs, StrategyRecompute)
-	w.MaxWindow = 10
-	var out []*tuple.Tuple
-	for seq := int64(1); seq <= 50; seq++ {
-		_, _ = w.Process(stock(seq, "A", 1), collect(&out))
-	}
-	if w.Shed() != 40 {
-		t.Fatalf("shed = %d", w.Shed())
-	}
-	if w.StateSize() != 10 {
-		t.Fatalf("state = %d", w.StateSize())
-	}
-}
-
 func TestStateSizeLandmarkVsSliding(t *testing.T) {
 	// §4.1.2: landmark MAX needs O(1) state, sliding MAX needs the window.
 	landmark, _ := NewWindowAgg("l", "stocks", window.Landmark("stocks", 1, 1, 100000), 0,

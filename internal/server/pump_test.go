@@ -2,6 +2,8 @@ package server
 
 import (
 	"bufio"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strconv"
@@ -30,6 +32,15 @@ const pumpID = 7
 
 func newPumpRig(t *testing.T, capacity int) *pumpRig {
 	t.Helper()
+	r := newIdlePumpRig(t, capacity)
+	r.sess.pump(pumpID, r.sub)
+	return r
+}
+
+// newIdlePumpRig is newPumpRig before the pump starts, so a test can
+// queue rows or wrap the connection first.
+func newIdlePumpRig(t *testing.T, capacity int) *pumpRig {
+	t.Helper()
 	server, client := net.Pipe()
 	r := &pumpRig{
 		hub:    egress.NewHub(),
@@ -39,7 +50,6 @@ func newPumpRig(t *testing.T, capacity int) *pumpRig {
 		schema: tuple.NewSchema(tuple.Column{Source: "s", Name: "v", Kind: tuple.KindInt}),
 	}
 	r.sub = r.hub.Subscribe(pumpID, capacity)
-	r.sess.pump(pumpID, r.sub)
 	t.Cleanup(func() {
 		server.Close()
 		client.Close()
@@ -51,6 +61,55 @@ func (r *pumpRig) row(v int) *tuple.Tuple {
 	t := tuple.NewPooled(r.schema)
 	t.Values = append(t.Values, tuple.Int(int64(v)))
 	return t
+}
+
+// countingConn counts the writes made to a connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestPlainCursorWritesQueuedRowsInOneWrite queues rows before the pump
+// first wakes: they must leave in one write, byte for byte the
+// "row <id> <csv>" lines a per-row writer would have sent.
+func TestPlainCursorWritesQueuedRowsInOneWrite(t *testing.T) {
+	const n = 100
+	r := newIdlePumpRig(t, 2*n)
+	conn := &countingConn{Conn: r.sess.conn}
+	r.sess.conn = conn
+	wide := tuple.NewSchema(
+		tuple.Column{Source: "s", Name: "i", Kind: tuple.KindInt},
+		tuple.Column{Source: "s", Name: "f", Kind: tuple.KindFloat},
+		tuple.Column{Source: "s", Name: "s", Kind: tuple.KindString},
+		tuple.Column{Source: "s", Name: "n", Kind: tuple.KindNull},
+	)
+	var want strings.Builder
+	for i := 0; i < n; i++ {
+		row := tuple.NewPooled(wide)
+		row.Values = append(row.Values, tuple.Int(int64(i)), tuple.Float(float64(i)/8),
+			tuple.String("v"+strconv.Itoa(i)), tuple.Null())
+		fmt.Fprintf(&want, "row %d %s\n", pumpID, row.String())
+		r.hub.Deliver(pumpID, row)
+	}
+	r.sess.pump(pumpID, r.sub)
+	got := make([]byte, want.Len())
+	if _, err := io.ReadFull(r.client, got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Fatalf("wire bytes differ from per-row lines:\ngot  %q\nwant %q", got, want.String())
+	}
+	if w := conn.writes.Load(); w != 1 {
+		t.Fatalf("%d queued rows took %d writes, want 1", n, w)
+	}
+	r.sess.subs[pumpID].stop()
+	r.client.Close()
+	r.sess.pubs.Wait()
 }
 
 // TestPlainCursorTrickleParksWithoutHelperGoroutines trickles 2 000 rows

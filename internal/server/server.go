@@ -404,15 +404,22 @@ func (c *session) openCursor(stmt *sql.Select) {
 	c.pump(id, sub)
 }
 
+// pumpBatch caps the rows a plain-cursor pump drains per write.
+const pumpBatch = 256
+
 // pump registers a plain cursor and streams its subscription to the
 // client as "row <id> ..." lines until the query ends or the cursor is
-// stopped (CLOSE, or the session ending).
+// stopped (CLOSE, or the session ending). Each wake drains what is
+// queued, up to pumpBatch rows, and sends it in one write.
 func (c *session) pump(id int, sub *egress.Subscription) {
 	stopped := make(chan struct{})
 	c.subs[id] = &cursorState{stop: func() { close(stopped) }, owned: true}
 	c.pubs.Add(1)
 	go func() {
 		defer c.pubs.Done()
+		prefix := []byte("row " + strconv.Itoa(id) + " ")
+		rows := make([]*tuple.Tuple, pumpBatch)
+		var buf []byte
 		for {
 			row, ok := sub.NextOr(stopped)
 			if !ok {
@@ -424,25 +431,36 @@ func (c *session) pump(id int, sub *egress.Subscription) {
 				c.send("done %d", id)
 				return
 			}
+			rows[0] = row
+			batch := rows[:1+sub.NextBatch(rows[1:])]
 			select {
 			case <-stopped:
-				tuple.Recycle(row) // taken after stop: retired unsent
+				for _, r := range batch {
+					tuple.Recycle(r) // taken after stop: retired unsent
+				}
 				return
 			default:
 			}
-			c.send("row %d %s", id, row.String())
-			// The consumer retires rows it has written to the wire (a
-			// no-op for rows the spool retained).
-			tuple.Recycle(row)
+			buf = buf[:0]
+			for _, r := range batch {
+				buf = append(r.AppendText(append(buf, prefix...)), '\n')
+				// The consumer retires rows once encoded for the wire (a
+				// no-op for rows the spool retained).
+				tuple.Recycle(r)
+			}
+			c.wmu.Lock()
+			_, _ = c.conn.Write(buf)
+			c.wmu.Unlock()
 		}
 	}()
 }
 
 // openFanout attaches this session to a query's fan-out tree
 // (SUBSCRIBE <id> / SUBSCRIBE SELECT ...) and pumps shared pre-encoded
-// frames to the client. Unlike openCursor's per-row fmt.Fprintf, the
-// pump writes frame bytes verbatim: the serialization ran once per
-// delivered batch, query-wide, no matter how many sessions subscribe.
+// frames to the client. Unlike openCursor's pump, which encodes its
+// rows for this session alone, the pump writes frame bytes verbatim: the
+// serialization ran once per delivered batch, query-wide, no matter how
+// many sessions subscribe.
 func (c *session) openFanout(stmt *sql.Subscribe) {
 	opts := fanout.SubOptions{}
 	if w := stmt.With; w != nil {
