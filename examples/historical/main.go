@@ -66,7 +66,7 @@ func main() {
 		}
 	}
 	push(rows[:len(rows)/2])
-	seen, offset := spool.Fetch(0)
+	_, seen, offset := spool.Fetch(0)
 	push(rows[len(rows)/2:])
 	fmt.Printf("archived %d ticks (%d pages on disk)\n\n",
 		db.Archive("ClosingStockPrices").Count(),
@@ -113,9 +113,9 @@ func main() {
 
 	// 2. The disconnected client reconnects: the standing query kept
 	// running, so what it missed is already materialized in the spool.
-	missed, _ := spool.Fetch(offset)
+	_, missed, _ := spool.Fetch(offset)
 	fmt.Printf("\ndisconnected client: read %d closes above $80 before leaving, fetched %d more on reconnect\n",
-		len(seen), len(missed))
+		seen, missed)
 
 	// 3. A query registered after the data sees history through a
 	// backward window over the archive (a forward standing query starts

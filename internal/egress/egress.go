@@ -4,16 +4,22 @@
 // pull-based spools that log results for clients that disconnect and
 // return intermittently (the PSoup modality).
 //
+// Encode once: DeliverBatch renders a query's delivered batch to wire
+// text (AppendLines: each row's Tuple.AppendText and '\n') once, when
+// the query has a spool or a fan-out publisher. The spool logs that
+// text, and the publisher copies it into its frames; FETCH and cohort
+// replay copy spooled text, so neither keeps or re-encodes a row.
+//
 // Ownership: Deliver and DeliverBatch take ownership of the rows they
 // are handed. A row that reaches a subscription belongs to the consumer
-// (which may tuple.Recycle it after use); a row kept by a spool is
-// Retained (pinned out of the pool, since spooled rows are fetched
-// repeatedly); a row with no consumer, or shed because the subscription
-// queue is full, is recycled here — egress is the module that retires
-// result tuples.
+// (which may tuple.Recycle it after use); every other row — with no
+// subscription, or shed because the subscription queue is full — is
+// recycled here once its text is logged and published: egress is the
+// module that retires result tuples.
 package egress
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"sync"
@@ -30,18 +36,49 @@ var ErrDisplaced = errors.New("egress: subscription displaced by a newer subscri
 
 // Publisher is a multi-subscriber delivery sink attached to a query —
 // the seam the fan-out subsystem (internal/fanout) plugs into without
-// egress importing it. Publish observes (but does not own) the rows:
-// it must not retain row pointers past the call. endOffset is the
+// egress importing it. PublishText observes one delivered batch as wire
+// text: rows lines, each a row's Tuple.AppendText followed by '\n'. The
+// text is the spool's log (or the query's encode scratch), so the
+// publisher must copy what it keeps before returning. endOffset is the
 // query spool's End() after these rows were appended (0 when the query
 // has no spool); fan-out frames carry it so cohort replay and live
 // delivery reconcile on spool offsets.
 type Publisher interface {
-	Publish(rows []*tuple.Tuple, endOffset int64)
+	PublishText(text []byte, rows int, endOffset int64)
 	// Pending reports undelivered buffered frames (graceful drain waits
 	// on it the way it waits on subscription queue depth).
 	Pending() int
 	Fail(err error)
 	Close()
+}
+
+// AppendPrefixed appends each line of text — AppendLines output — to dst
+// behind prefix, giving the session wire form ("row <id> <csv>\n" per
+// row), and returns the extended slice.
+func AppendPrefixed(dst, prefix, text []byte) []byte {
+	for len(text) > 0 {
+		line := text
+		if i := bytes.IndexByte(text, '\n'); i >= 0 {
+			line = text[:i+1]
+		}
+		dst = append(append(dst, prefix...), line...)
+		text = text[len(line):]
+	}
+	return dst
+}
+
+// Rows is a batch of result rows. Fan-out trees take it for callers that
+// publish tuples rather than delivered text, without importing tuple.
+type Rows = []*tuple.Tuple
+
+// AppendLines appends each row's wire text — Tuple.AppendText and '\n'
+// — to dst and returns the extended slice. It is the one row encoding
+// spools, publishers and FETCH share.
+func AppendLines(dst []byte, rows Rows) []byte {
+	for _, r := range rows {
+		dst = append(r.AppendText(dst), '\n')
+	}
+	return dst
 }
 
 // Subscription is a push-based result channel for one query. The queue
@@ -137,17 +174,36 @@ func (s *Subscription) Closed() bool { return s.q.Closed() }
 func (s *Subscription) Len() int { return s.q.Len() }
 
 // Hub demultiplexes engine deliveries to per-query consumers: push
-// subscriptions and/or pull spools.
+// subscriptions, pull spools and fan-out publishers.
 type Hub struct {
 	mu     sync.Mutex
-	subs   map[int]*Subscription
-	spools map[int]*Spool
-	pubs   map[int]Publisher
+	routes map[int]*route
+}
+
+// route is one query's consumers. The fields are set under Hub.mu; text
+// is touched only by the query's deliverer.
+type route struct {
+	sub *Subscription
+	sp  *Spool
+	pub Publisher
+	// text is the encode scratch of a query that has a publisher but no
+	// spool (a spool encodes into its own log). DeliverBatch runs
+	// concurrently for queries on different EOs, so the scratch is per
+	// query, never the Hub's.
+	text []byte
 }
 
 // NewHub builds an empty hub.
-func NewHub() *Hub {
-	return &Hub{subs: map[int]*Subscription{}, spools: map[int]*Spool{}, pubs: map[int]Publisher{}}
+func NewHub() *Hub { return &Hub{routes: map[int]*route{}} }
+
+// routeLocked returns the query's route, creating it. Caller holds h.mu.
+func (h *Hub) routeLocked(id int) *route {
+	r := h.routes[id]
+	if r == nil {
+		r = &route{}
+		h.routes[id] = r
+	}
+	return r
 }
 
 // Subscribe attaches a push subscription of the given capacity for a
@@ -166,8 +222,9 @@ func (h *Hub) Subscribe(id, capacity int) *Subscription {
 	}
 	s := &Subscription{ID: id, q: fjord.NewSPSC[*tuple.Tuple](capacity)}
 	h.mu.Lock()
-	old := h.subs[id]
-	h.subs[id] = s
+	r := h.routeLocked(id)
+	old := r.sub
+	r.sub = s
 	h.mu.Unlock()
 	if old != nil {
 		old.seal(ErrDisplaced)
@@ -181,19 +238,21 @@ func (h *Hub) Subscribe(id, capacity int) *Subscription {
 func (h *Hub) PublisherFor(id int, build func() Publisher) Publisher {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if p, ok := h.pubs[id]; ok {
-		return p
+	r := h.routeLocked(id)
+	if r.pub == nil {
+		r.pub = build()
 	}
-	p := build()
-	h.pubs[id] = p
-	return p
+	return r.pub
 }
 
 // Publisher returns the fan-out publisher attached to a query id, or nil.
 func (h *Hub) Publisher(id int) Publisher {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.pubs[id]
+	if r := h.routes[id]; r != nil {
+		return r.pub
+	}
+	return nil
 }
 
 // Publishers returns a snapshot of attached fan-out publishers keyed by
@@ -201,9 +260,11 @@ func (h *Hub) Publisher(id int) Publisher {
 func (h *Hub) Publishers() map[int]Publisher {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make(map[int]Publisher, len(h.pubs))
-	for id, p := range h.pubs {
-		out[id] = p
+	out := map[int]Publisher{}
+	for id, r := range h.routes {
+		if r.pub != nil {
+			out[id] = r.pub
+		}
 	}
 	return out
 }
@@ -212,89 +273,70 @@ func (h *Hub) Publishers() map[int]Publisher {
 func (h *Hub) SpoolFor(id int, capacity int) *Spool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if sp, ok := h.spools[id]; ok {
-		return sp
+	r := h.routeLocked(id)
+	if r.sp == nil {
+		r.sp = NewSpool(capacity)
 	}
-	sp := NewSpool(capacity)
-	h.spools[id] = sp
-	return sp
+	return r.sp
 }
 
-// Deliver routes one result row to the query's consumers. It never
-// blocks, and it takes ownership of the row (see the package comment).
+// Deliver routes one result row to the query's consumers: DeliverBatch
+// over a one-row batch.
+func (h *Hub) Deliver(id int, row *tuple.Tuple) {
+	one := [1]*tuple.Tuple{row}
+	h.DeliverBatch(id, one[:])
+}
+
+// DeliverBatch routes a batch of result rows for one query: one hub
+// lookup, one encode (when the query has a spool or a publisher) and one
+// ring publish for the whole slice. It never blocks, and it takes
+// ownership of the rows but not the slice (see the package comment).
 // Producer-side SPSC contract: all Deliver/DeliverBatch calls for one
 // query id must be serialized — the executor guarantees this by keeping
 // each query on one EO and acking cancellation before the flush path
 // delivers.
-func (h *Hub) Deliver(id int, row *tuple.Tuple) {
-	h.mu.Lock()
-	sub := h.subs[id]
-	sp := h.spools[id]
-	pub := h.pubs[id]
-	h.mu.Unlock()
-	var end int64
-	if sp != nil {
-		sp.Append(row) // retains
-		end = sp.End()
-	}
-	if pub != nil {
-		one := [1]*tuple.Tuple{row}
-		pub.Publish(one[:], end) // observes only
-	}
-	if sub != nil {
-		if sub.enter() {
-			if !sub.q.TryEnqueue(row) {
-				sub.dropped.Add(1)
-				tuple.Recycle(row)
-			}
-			sub.exit()
-		} else {
-			// Sealed concurrently: the consumer is gone; retire here.
-			sub.dropped.Add(1)
-			tuple.Recycle(row)
-		}
-	} else if sp == nil {
-		tuple.Recycle(row)
-	}
-}
-
-// DeliverBatch routes a batch of result rows for one query: one hub
-// lookup and one ring publish for the whole slice. Ownership and
-// serialization rules are those of Deliver. The slice itself is not
-// retained.
 func (h *Hub) DeliverBatch(id int, rows []*tuple.Tuple) {
 	if len(rows) == 0 {
 		return
 	}
 	h.mu.Lock()
-	sub := h.subs[id]
-	sp := h.spools[id]
-	pub := h.pubs[id]
+	r := h.routes[id]
+	var (
+		sub *Subscription
+		sp  *Spool
+		pub Publisher
+	)
+	if r != nil {
+		sub, sp, pub = r.sub, r.sp, r.pub
+	}
 	h.mu.Unlock()
-	var end int64
-	if sp != nil {
-		sp.AppendBatch(rows) // retains
-		end = sp.End()
+	if sp != nil || pub != nil {
+		var text []byte
+		var end int64
+		if sp != nil {
+			text, end = sp.AppendBatch(rows)
+		} else {
+			r.text = AppendLines(r.text[:0], rows)
+			text = r.text
+		}
+		if pub != nil {
+			pub.PublishText(text, len(rows), end) // copies before returning
+		}
 	}
-	if pub != nil {
-		pub.Publish(rows, end) // observes only; encodes before returning
-	}
+	n := 0
 	if sub != nil {
-		n := 0
 		if sub.enter() {
 			n = sub.q.TryEnqueueBatch(rows)
 			sub.exit()
 		}
+		// A sealed subscription's consumer is gone: its rows count as
+		// shed, like a full queue's.
 		if n < len(rows) {
 			sub.dropped.Add(int64(len(rows) - n))
-			for _, r := range rows[n:] {
-				tuple.Recycle(r)
-			}
 		}
-	} else if sp == nil {
-		for _, r := range rows {
-			tuple.Recycle(r)
-		}
+	}
+	for _, row := range rows[n:] {
+		tuple.Recycle(row)
 	}
 }
 
@@ -307,10 +349,15 @@ func (h *Hub) DeliverBatch(id int, rows []*tuple.Tuple) {
 // The consumers stay attached so telemetry still observes them until
 // the query is cancelled.
 func (h *Hub) Fail(id int, err error) {
+	var (
+		sub *Subscription
+		sp  *Spool
+		pub Publisher
+	)
 	h.mu.Lock()
-	sub := h.subs[id]
-	sp := h.spools[id]
-	pub := h.pubs[id]
+	if r := h.routes[id]; r != nil {
+		sub, sp, pub = r.sub, r.sp, r.pub
+	}
 	h.mu.Unlock()
 	if sub != nil {
 		sub.seal(err)
@@ -326,17 +373,22 @@ func (h *Hub) Fail(id int, err error) {
 // Close tears down a query's consumers (cursor closed / query removed).
 func (h *Hub) Close(id int) {
 	h.mu.Lock()
-	s := h.subs[id]
-	delete(h.subs, id)
-	delete(h.spools, id)
-	p := h.pubs[id]
-	delete(h.pubs, id)
+	r := h.routes[id]
+	delete(h.routes, id)
 	h.mu.Unlock()
-	if s != nil {
-		s.seal(nil)
+	if r != nil {
+		r.close()
 	}
-	if p != nil {
-		p.Close()
+}
+
+// close seals the route's subscription and closes its publisher. The
+// route must already be out of the Hub's table.
+func (r *route) close() {
+	if r.sub != nil {
+		r.sub.seal(nil)
+	}
+	if r.pub != nil {
+		r.pub.Close()
 	}
 }
 
@@ -345,9 +397,11 @@ func (h *Hub) Close(id int) {
 func (h *Hub) Subscriptions() []*Subscription {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]*Subscription, 0, len(h.subs))
-	for _, s := range h.subs {
-		out = append(out, s)
+	out := make([]*Subscription, 0, len(h.routes))
+	for _, r := range h.routes {
+		if r.sub != nil {
+			out = append(out, r.sub)
+		}
 	}
 	return out
 }
@@ -355,29 +409,32 @@ func (h *Hub) Subscriptions() []*Subscription {
 // CloseAll tears down everything (server shutdown).
 func (h *Hub) CloseAll() {
 	h.mu.Lock()
-	subs := h.subs
-	pubs := h.pubs
-	h.subs = map[int]*Subscription{}
-	h.spools = map[int]*Spool{}
-	h.pubs = map[int]Publisher{}
+	routes := h.routes
+	h.routes = map[int]*route{}
 	h.mu.Unlock()
-	for _, s := range subs {
-		s.seal(nil)
-	}
-	for _, p := range pubs {
-		p.Close()
+	for _, r := range routes {
+		r.close()
 	}
 }
 
 // Spool is the pull-based egress operator: results are logged with
 // monotonically increasing offsets; an intermittent client fetches from
 // its last offset on reconnect. Capacity bounds retained rows (older
-// rows age out, and the base offset advances). Spooled rows are Retained
-// — Fetch hands out aliases, so they can never return to the pool.
+// rows age out, and the base offset advances).
+//
+// The spool logs each row's wire text, not the row: one byte log of
+// AppendLines output plus the end of every line in it. Both are
+// head-indexed — aging out only advances head — and compact once head
+// passes half, so between compactions the log holds at most about
+// 2 × capacity lines. Compaction runs at the start of an append, never
+// after one, so the text an append returns stays in place until the
+// next append.
 type Spool struct {
 	mu   sync.Mutex
-	rows []*tuple.Tuple
-	base int64 // offset of rows[0]
+	text []byte // the log; line i is text[start(i):ends[i]]
+	ends []int  // end of each logged line in text
+	head int    // ends[head:] are the retained rows
+	base int64  // offset of the row at head
 	cap  int
 
 	failed atomic.Value // error: set when the query was quarantined
@@ -391,82 +448,100 @@ func NewSpool(capacity int) *Spool {
 	return &Spool{cap: capacity}
 }
 
-// Append logs one row, retaining it.
-func (s *Spool) Append(row *tuple.Tuple) {
-	row.Retain()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rows = append(s.rows, row)
-	s.trimLocked()
+// Append logs one row's text: AppendBatch over a one-row batch.
+func (s *Spool) Append(row *tuple.Tuple) (text []byte, end int64) {
+	one := [1]*tuple.Tuple{row}
+	return s.AppendBatch(one[:])
 }
 
-// AppendBatch logs a batch of rows under one lock round-trip.
-func (s *Spool) AppendBatch(rows []*tuple.Tuple) {
-	for _, r := range rows {
-		r.Retain()
+// AppendBatch logs a batch of rows under one lock round-trip. It only
+// reads the rows. It returns the text it logged — every row of the
+// batch, even one longer than the capacity — and End after the append.
+// The text aliases the log: it is valid until the next append, and the
+// caller must not write to it.
+func (s *Spool) AppendBatch(rows []*tuple.Tuple) (text []byte, end int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.head > len(s.ends)/2 {
+		s.compactLocked()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rows = append(s.rows, rows...)
-	s.trimLocked()
-}
-
-func (s *Spool) trimLocked() {
-	if over := len(s.rows) - s.cap; over > 0 {
-		s.rows = append(s.rows[:0], s.rows[over:]...)
+	from := len(s.text)
+	for _, r := range rows {
+		s.text = append(r.AppendText(s.text), '\n')
+		s.ends = append(s.ends, len(s.text))
+	}
+	if over := len(s.ends) - s.head - s.cap; over > 0 {
+		s.head += over
 		s.base += int64(over)
 	}
+	return s.text[from:], s.endLocked()
 }
 
-// Fetch returns rows from offset `from` (inclusive) and the next offset
-// to resume from. Rows aged out below the retained range are skipped.
-func (s *Spool) Fetch(from int64) (rows []*tuple.Tuple, next int64) {
+// compactLocked drops the aged-out lines from the front of the log.
+func (s *Spool) compactLocked() {
+	shift := s.start(s.head)
+	s.text = s.text[:copy(s.text, s.text[shift:])]
+	s.ends = s.ends[:copy(s.ends, s.ends[s.head:])]
+	for i := range s.ends {
+		s.ends[i] -= shift
+	}
+	s.head = 0
+}
+
+// start returns where line i begins in the log.
+func (s *Spool) start(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return s.ends[i-1]
+}
+
+func (s *Spool) endLocked() int64 { return s.base + int64(len(s.ends)-s.head) }
+
+// Fetch returns the text of the rows from offset `from` (inclusive), how
+// many rows that is, and the next offset to resume from (End). Rows aged
+// out below the retained range are skipped. The text is a fresh copy.
+func (s *Spool) Fetch(from int64) (text []byte, rows int, next int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.fetchLocked(nil, from, len(s.ends))
+}
+
+// FetchInto appends the text of up to limit rows from offset `from` to dst
+// and returns the extended slice, the row count and the next offset to
+// resume from — the allocation-free variant of Fetch for steady-state
+// pollers (a cohort replaying 100k subscribers must not allocate per
+// fetch), given dst has room. A `from` below the base clamps forward to
+// it, so next shows the gap; limit <= 0 is a no-op returning from.
+func (s *Spool) FetchInto(dst []byte, from int64, limit int) (text []byte, rows int, next int64) {
+	if limit <= 0 {
+		return dst, 0, from
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fetchLocked(dst, from, limit)
+}
+
+func (s *Spool) fetchLocked(dst []byte, from int64, limit int) ([]byte, int, int64) {
 	if from < s.base {
 		from = s.base
 	}
-	i := from - s.base
-	if i >= int64(len(s.rows)) {
-		return nil, s.base + int64(len(s.rows))
+	if from >= s.endLocked() {
+		return dst, 0, s.endLocked()
 	}
-	out := append([]*tuple.Tuple(nil), s.rows[i:]...)
-	return out, s.base + int64(len(s.rows))
-}
-
-// FetchInto copies up to cap(dst) rows from offset `from` into dst[:0]
-// and returns the filled slice plus the next offset to resume from —
-// the allocation-free variant of Fetch for steady-state pollers (a
-// cohort replaying 100k subscribers must not allocate a slice per
-// fetch). The returned slice aliases dst's backing array.
-func (s *Spool) FetchInto(dst []*tuple.Tuple, from int64) (rows []*tuple.Tuple, next int64) {
-	dst = dst[:0]
-	if cap(dst) == 0 {
-		return dst, from
+	i := s.head + int(from-s.base)
+	j := len(s.ends)
+	if j-i > limit {
+		j = i + limit
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if from < s.base {
-		from = s.base
-	}
-	i := from - s.base
-	if i >= int64(len(s.rows)) {
-		return dst, s.base + int64(len(s.rows))
-	}
-	avail := s.rows[i:]
-	n := len(avail)
-	if n > cap(dst) {
-		n = cap(dst)
-	}
-	dst = append(dst, avail[:n]...)
-	return dst, from + int64(n)
+	return append(dst, s.text[s.start(i):s.ends[j-1]]...), j - i, from + int64(j-i)
 }
 
 // End returns the offset one past the last logged row.
 func (s *Spool) End() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.base + int64(len(s.rows))
+	return s.endLocked()
 }
 
 // Base returns the offset of the oldest retained row (rows below it

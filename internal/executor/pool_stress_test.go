@@ -1,21 +1,30 @@
 package executor
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"telegraphcq/internal/catalog"
+	"telegraphcq/internal/fanout"
+	"telegraphcq/internal/fjord"
 	"telegraphcq/internal/tuple"
 )
 
 // TestPoolOwnershipStress round-trips pooled tuples through the whole
 // dataflow — PushBatch → EO data Fjord → eddy → grouped filter →
 // projection → SPSC subscription — while the consumer runs concurrently
-// with the producer, recycling rows as it retires them. It asserts the
-// ownership rules hold: a delivered row the consumer still holds is
-// never reused by the pool, every pushed tuple is delivered exactly
-// once, and no value is corrupted in flight. Run it with -race, and
+// with the producer, recycling rows as it retires them. The query also
+// has a spool and a fan-out subscriber, which keep only the rows' text:
+// the Hub must render a row before the consumer can recycle it. It
+// asserts the ownership rules hold: a delivered row the consumer still
+// holds is never reused by the pool, every pushed tuple is delivered
+// exactly once, to the subscription and to the fan-out, and no value is
+// corrupted in flight or in the spooled text. Run it with -race, and
 // with -tags tcqdebug to make premature reuse deterministic (recycled
 // tuples are poisoned).
 func TestPoolOwnershipStress(t *testing.T) {
@@ -31,9 +40,44 @@ func TestPoolOwnershipStress(t *testing.T) {
 
 	// Projection keeps delivered rows recyclable (raw SELECT * rows are
 	// retained by the engine for fan-out and would bypass the pool).
-	_, sub := submit(t, x, "SELECT id, val FROM ticks WHERE val >= 0")
-
 	const total = 20000
+	id, sub := submit(t, x, "SELECT id, val FROM ticks WHERE val >= 0")
+	spool := x.Hub().SpoolFor(id, 0)
+	fan, err := x.SubscribeFanout(id, fanout.SubOptions{
+		Queue: 1024,
+		QoS:   fjord.QoS{Policy: fjord.Block, BlockTimeout: 30 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := fmt.Sprintf("row %d ", id)
+	var fanRows atomic.Int64
+	fanDone := make(chan struct{})
+	go func() { // the fan-out client: every frame line is an intact row
+		defer close(fanDone)
+		seen := make([]bool, total)
+		for {
+			f, ok := fan.NextFrame()
+			if !ok {
+				return
+			}
+			for _, line := range strings.SplitAfter(string(f.Bytes()), "\n") {
+				if line == "" {
+					continue
+				}
+				rid, ok := checkLine(strings.TrimPrefix(line, prefix), total)
+				if !ok || !strings.HasPrefix(line, prefix) || seen[rid] {
+					t.Errorf("bad or repeated fan-out line %q", line)
+					f.Release()
+					return
+				}
+				seen[rid] = true
+				fanRows.Add(1)
+			}
+			f.Release()
+		}
+	}()
+
 	const batch = 64
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -54,11 +98,11 @@ func TestPoolOwnershipStress(t *testing.T) {
 		}
 	}()
 
-	// The consumer holds a window of delivered rows un-recycled and
-	// re-verifies their contents as later rows flow: if any module
-	// recycled a delivered row prematurely, the pool would hand its
-	// memory to a new tuple and the held snapshot would change (under
-	// tcqdebug it would read poison).
+	// The consumer retires odd rows on receipt, and holds a window of
+	// even ones un-recycled and re-verifies their contents as later rows
+	// flow: if any module recycled a delivered row prematurely, the pool
+	// would hand its memory to a new tuple and the held snapshot would
+	// change (under tcqdebug it would read poison).
 	type held struct {
 		row *tuple.Tuple
 		id  int64
@@ -116,6 +160,13 @@ func TestPoolOwnershipStress(t *testing.T) {
 			}
 			seen[id] = true
 			got++
+			if id%2 == 1 {
+				// Retire at once, racing whatever still reads the row
+				// after handing it over: under -race an unordered read
+				// reports, under tcqdebug it renders poison.
+				tuple.Recycle(row)
+				continue
+			}
 			window = append(window, held{row: row, id: id, val: val})
 		}
 		if len(window) >= 512 {
@@ -124,6 +175,27 @@ func TestPoolOwnershipStress(t *testing.T) {
 	}
 	verify()
 	wg.Wait()
+	waitFor(t, 30*time.Second, "the fan-out to see every delivered row", func() bool {
+		return fanRows.Load() >= int64(got)
+	})
+	fan.Close()
+	<-fanDone
+	if n := fanRows.Load(); n != int64(got) {
+		t.Fatalf("fan-out saw %d rows, the subscription %d", n, got)
+	}
+	if spool.End() != int64(got) {
+		t.Fatalf("spool logged %d rows, %d delivered", spool.End(), got)
+	}
+	text, n, _ := spool.Fetch(0)
+	lines := strings.SplitAfter(string(text), "\n")
+	if len(lines) != n+1 || n != int(spool.End()-spool.Base()) {
+		t.Fatalf("spool returned %d lines for %d rows", len(lines)-1, n)
+	}
+	for _, line := range lines[:n] {
+		if _, ok := checkLine(line, total); !ok {
+			t.Fatalf("corrupt spooled line %q", line)
+		}
+	}
 
 	if shed := x.Shed(); got+int(shed) != total {
 		t.Fatalf("delivered %d + shed %d != pushed %d", got, shed, total)
@@ -131,4 +203,16 @@ func TestPoolOwnershipStress(t *testing.T) {
 	if shed := x.Shed(); shed > 0 {
 		t.Logf("note: %d rows shed under load", shed)
 	}
+}
+
+// checkLine parses one wire line "<id>,<val>\n" of the stress query and
+// reports its id and whether it is intact (val == 2·id, id in range).
+func checkLine(line string, total int) (int, bool) {
+	a, b, ok := strings.Cut(strings.TrimSuffix(line, "\n"), ",")
+	id, err1 := strconv.Atoi(a)
+	val, err2 := strconv.ParseFloat(b, 64)
+	if !ok || err1 != nil || err2 != nil || id < 0 || id >= total || val != float64(id)*2 {
+		return 0, false
+	}
+	return id, true
 }

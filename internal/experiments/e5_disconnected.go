@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"time"
@@ -119,8 +120,8 @@ func E5Disconnected(scale int) *Table {
 		start := time.Now()
 		for r := 0; r < reps; r++ {
 			for _, c := range clients {
-				got, _ := c.spool.Fetch(c.offset)
-				nFetched += len(got)
+				_, n, _ := c.spool.Fetch(c.offset)
+				nFetched += n
 			}
 		}
 		matNs := float64(time.Since(start).Nanoseconds()) / float64(reps*len(clients))
@@ -137,7 +138,7 @@ func E5Disconnected(scale int) *Table {
 		// Untimed: each client's two answers hold the same rows.
 		same := "yes"
 		for _, c := range clients {
-			got, _ := c.spool.Fetch(c.offset)
+			got, _, _ := c.spool.Fetch(c.offset)
 			if !sameMultiset(got, recompute(c.where)) {
 				same = "no"
 			}
@@ -156,19 +157,25 @@ func E5Disconnected(scale int) *Table {
 	return t
 }
 
-// sameMultiset reports whether a and b hold the same rows, by value, in
-// any order.
-func sameMultiset(a, b []*tuple.Tuple) bool {
-	if len(a) != len(b) {
-		return false
+// sameMultiset reports whether the spooled text holds the same rows as
+// want, compared as wire lines (Tuple.AppendText), in any order.
+func sameMultiset(text []byte, want []*tuple.Tuple) bool {
+	n := map[string]int{}
+	for _, line := range bytes.SplitAfter(text, []byte("\n")) {
+		if len(line) > 0 {
+			n[string(line)]++
+		}
 	}
-	n := make(map[string]int, len(a))
-	for _, r := range a {
-		n[r.String()]++
-	}
-	for _, r := range b {
-		k := r.String()
+	var buf []byte
+	for _, r := range want {
+		buf = append(r.AppendText(buf[:0]), '\n')
+		k := string(buf)
 		if n[k]--; n[k] < 0 {
+			return false
+		}
+	}
+	for _, c := range n {
+		if c != 0 {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package fanout
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +18,16 @@ import (
 var schema = tuple.NewSchema(tuple.Column{Source: "s", Name: "v", Kind: tuple.KindInt})
 
 func row(v int64) *tuple.Tuple { return tuple.New(schema, tuple.Int(v)) }
+
+// line is the delivered text of row(v), as the Hub hands it on.
+func line(v int64) []byte { return egress.AppendLines(nil, egress.Rows{row(v)}) }
+
+// deliver does what the Hub does for one row of a query with a spool:
+// log its text, then publish that text with the new end offset.
+func deliver(tr *Tree, sp *egress.Spool, v int64) {
+	text, end := sp.Append(row(v))
+	tr.PublishText(text, 1, end)
+}
 
 // drainRows consumes frames until the subscriber has seen want distinct
 // row keys (parsed from the wire bytes), failing on duplicates.
@@ -74,7 +85,7 @@ func TestEncodeOnceSharedFrames(t *testing.T) {
 		subs[i] = s
 	}
 	for i := 0; i < nframes; i++ {
-		tr.Publish([]*tuple.Tuple{row(int64(i))}, 0)
+		tr.PublishText(line(int64(i)), 1, 0)
 	}
 	for _, s := range subs {
 		for i := 0; i < nframes; i++ {
@@ -102,7 +113,7 @@ func TestEncodeOnceSharedFrames(t *testing.T) {
 func TestPublishSkippedWithNoSubscribers(t *testing.T) {
 	tr := NewTree(Options{Query: 1, Prefix: "row 1 "})
 	defer tr.Close()
-	tr.Publish([]*tuple.Tuple{row(1)}, 0)
+	tr.PublishText(line(1), 1, 0)
 	st := tr.Stats()
 	if st.Published != 0 || st.SkippedIdle != 1 || tr.Encoder().LiveEncodes() != 0 {
 		t.Fatalf("idle publish not skipped: %+v encodes=%d", st, tr.Encoder().LiveEncodes())
@@ -130,7 +141,7 @@ func TestTreeGrowsRelaysAndLeaves(t *testing.T) {
 	}
 	const nframes = 10
 	for i := 0; i < nframes; i++ {
-		tr.Publish([]*tuple.Tuple{row(int64(i))}, 0)
+		tr.PublishText(line(int64(i)), 1, 0)
 	}
 	// Every subscriber on every leaf sees every frame, in order.
 	for si, s := range subs {
@@ -153,8 +164,7 @@ func TestReplayCatchUpFromSpool(t *testing.T) {
 	defer tr.Close()
 	// History accumulates with no subscribers attached (frames skipped).
 	for i := 0; i < 10; i++ {
-		sp.Append(row(int64(i)))
-		tr.Publish([]*tuple.Tuple{row(int64(i))}, sp.End())
+		deliver(tr, sp, int64(i))
 	}
 	late, err := tr.Attach(SubOptions{Replay: true, Queue: 16})
 	if err != nil {
@@ -171,8 +181,7 @@ func TestReplayCatchUpFromSpool(t *testing.T) {
 		t.Fatalf("stats after pure replay: %+v", ss)
 	}
 	// Replay then live: new rows arrive as live frames, no duplicates.
-	sp.Append(row(10))
-	tr.Publish([]*tuple.Tuple{row(10)}, sp.End())
+	deliver(tr, sp, 10)
 	f, ok := late.NextFrame()
 	if !ok {
 		t.Fatal("live frame after replay lost")
@@ -183,13 +192,75 @@ func TestReplayCatchUpFromSpool(t *testing.T) {
 	f.Release()
 }
 
+// TestReplayAgedOutWindowStopsAtLiveRows lets rows age out of a small
+// spool between attach and the first replay fetch: the fetch clamps
+// forward to the base and reads past the replay window, and the rows
+// past it must be left to live delivery — each row seen once.
+func TestReplayAgedOutWindowStopsAtLiveRows(t *testing.T) {
+	sp := egress.NewSpool(4)
+	tr := NewTree(Options{Query: 1, Prefix: "row 1 ", Spool: sp})
+	defer tr.Close()
+	for i := 0; i < 10; i++ {
+		deliver(tr, sp, int64(i))
+	}
+	late, err := tr.Attach(SubOptions{Replay: true, Queue: 16}) // window [6, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deliver(tr, sp, 10) // rows 6 and 7 age out; 10 and 11 arrive live
+	deliver(tr, sp, 11)
+	deadline := time.Now().Add(10 * time.Second)
+	for st := late.Stats(); st.Pending < 2; st = late.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("live frames never queued: %+v", st)
+		}
+		runtime.Gosched()
+	}
+	var got []int64
+	for {
+		f, ok := late.TryNextFrame()
+		if !ok {
+			break
+		}
+		got = append(got, frameKeys(t, f)...)
+		f.Release()
+	}
+	if fmt.Sprint(got) != "[8 9 10 11]" {
+		t.Fatalf("rows = %v, want [8 9 10 11]", got)
+	}
+}
+
+// TestPublishRowsMatchesText checks that publishing rows gives the frame
+// their delivered text gives.
+func TestPublishRowsMatchesText(t *testing.T) {
+	tr := NewTree(Options{Query: 3, Prefix: "row 3 "})
+	defer tr.Close()
+	sub, err := tr.Attach(SubOptions{Queue: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Publish(egress.Rows{row(1), row(2)}, 0)
+	tr.PublishText(append(line(1), line(2)...), 2, 0)
+	var frames []string
+	for i := 0; i < 2; i++ {
+		f, ok := sub.NextFrame()
+		if !ok {
+			t.Fatal("missing frame")
+		}
+		frames = append(frames, string(f.Bytes()))
+		f.Release()
+	}
+	if frames[0] != "row 3 1\nrow 3 2\n" || frames[1] != frames[0] {
+		t.Fatalf("frames = %q", frames)
+	}
+}
+
 func TestCohortSharedCursor(t *testing.T) {
 	sp := egress.NewSpool(100)
 	tr := NewTree(Options{Query: 1, Prefix: "row 1 ", Spool: sp})
 	defer tr.Close()
 	for i := 0; i < 10; i++ {
-		sp.Append(row(int64(i)))
-		tr.Publish([]*tuple.Tuple{row(int64(i))}, sp.End())
+		deliver(tr, sp, int64(i))
 	}
 	m1, err := tr.Attach(SubOptions{Cohort: "dash", Queue: 16})
 	if err != nil {
@@ -213,8 +284,7 @@ func TestCohortSharedCursor(t *testing.T) {
 		t.Fatalf("second member replayed %d frames", ss.Replayed)
 	}
 	// New rows flow to both members.
-	sp.Append(row(10))
-	tr.Publish([]*tuple.Tuple{row(10)}, sp.End())
+	deliver(tr, sp, 10)
 	for _, m := range []*Subscriber{m1, m2} {
 		f, ok := m.NextFrame()
 		if !ok {
@@ -239,8 +309,7 @@ func TestReplayNoLossNoDupUnderConcurrentAttach(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rows; i++ {
-			sp.Append(row(int64(i)))
-			tr.Publish([]*tuple.Tuple{row(int64(i))}, sp.End())
+			deliver(tr, sp, int64(i))
 		}
 	}()
 
@@ -323,7 +392,7 @@ func TestReconciliationPerPolicy(t *testing.T) {
 				}(i, s)
 			}
 			for i := 0; i < nframes; i++ {
-				tr.Publish([]*tuple.Tuple{row(int64(i))}, 0)
+				tr.PublishText(line(int64(i)), 1, 0)
 			}
 			tr.Close() // cascade: drains stage rings, closes sub rings
 			wg.Wait()
@@ -350,7 +419,7 @@ func TestTreeFailSurfacesError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Publish([]*tuple.Tuple{row(1)}, 0)
+	tr.PublishText(line(1), 1, 0)
 	boom := errors.New("quarantined")
 	tr.Fail(boom)
 	// Buffered frames drain before the error is observed.
@@ -369,7 +438,7 @@ func TestTreeFailSurfacesError(t *testing.T) {
 
 func TestFrameRefcountReleasesToPool(t *testing.T) {
 	enc := NewEncoder("row 1 ")
-	f := enc.encode([]*tuple.Tuple{row(42)}, 0, 1, false)
+	f := enc.frame(line(42), 1, 0, 1, false)
 	f.Retain()
 	f.Release()
 	f.Release() // final: returns to pool

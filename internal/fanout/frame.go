@@ -5,9 +5,11 @@
 // must stay O(1) per batch for the producing Execution Object no matter
 // how many clients listen. The package provides:
 //
-//   - encode-once frames: each delivered batch is serialized to wire
-//     form exactly once per query; subscribers share refcounted frames
-//     instead of re-formatting per session;
+//   - encode-once frames: each delivered batch is rendered to wire text
+//     exactly once per query, by the egress Hub; the tree copies that
+//     text into one frame, adding the "row <id> " prefix per line, and
+//     subscribers share refcounted frames instead of re-formatting per
+//     session;
 //   - a fan-out tree of relay stages, so distribution cost is spread
 //     over O(log N) relay goroutines instead of the EO;
 //   - subscriber cohorts with shared cursors over the query's
@@ -22,15 +24,16 @@
 // releases it). A consumer that dequeues a frame owns one reference and
 // must Release it when done with the bytes. When the count reaches
 // zero the frame's buffer returns to a pool. Frame bytes are immutable
-// after Encode returns — holders may read, never write.
+// once built — holders may read, never write.
 package fanout
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"telegraphcq/internal/tuple"
+	"telegraphcq/internal/egress"
 )
 
 // Frame is one encoded result batch shared by every subscriber of a
@@ -45,7 +48,7 @@ type Frame struct {
 	// frames with end <= R.
 	end  int64
 	seq  int64     // per-tree monotone frame number
-	born time.Time // when the frame was encoded (delivery-latency clock)
+	born time.Time // when the frame was built (delivery-latency clock)
 
 	refs atomic.Int32
 }
@@ -67,7 +70,7 @@ func (f *Frame) End() int64 { return f.end }
 // negative sequence numbers so they never collide with live ones).
 func (f *Frame) Seq() int64 { return f.seq }
 
-// Born returns the encode timestamp (the delivery-latency epoch).
+// Born returns the build timestamp (the delivery-latency epoch).
 func (f *Frame) Born() time.Time { return f.born }
 
 // Retain adds a reference (one per ring the frame is about to enter).
@@ -91,10 +94,10 @@ func (f *Frame) Release() {
 	framePool.Put(f)
 }
 
-// Encoder turns result batches into frames for one query, counting how
-// many encode operations actually ran — the proof of encode-once: with
-// N subscribers the live encode count tracks the number of delivered
-// batches, not N times that.
+// Encoder turns delivered text into frames for one query, counting how
+// many frames it built — the proof of encode-once: with N subscribers
+// the live count tracks the number of delivered batches, not N times
+// that.
 type Encoder struct {
 	prefix []byte // "row <id> " — the session wire preamble per row
 
@@ -110,40 +113,36 @@ func NewEncoder(prefix string) *Encoder {
 	return &Encoder{prefix: []byte(prefix)}
 }
 
-// encode renders rows into a pooled frame (one reference, owned by the
-// caller). The rows are only read; the caller keeps ownership.
-func (e *Encoder) encode(rows []*tuple.Tuple, end, seq int64, replay bool) *Frame {
+// frame copies text — rows lines, each ending in '\n' — into a pooled
+// frame (one reference, owned by the caller), prefixing every line. The
+// text is only read.
+func (e *Encoder) frame(text []byte, rows int, end, seq int64, replay bool) *Frame {
 	f := framePool.Get().(*Frame)
 	f.refs.Store(1)
-	buf := f.buf[:0]
-	for _, r := range rows {
-		buf = append(buf, e.prefix...)
-		buf = r.AppendText(buf)
-		buf = append(buf, '\n')
-	}
-	f.buf = buf
-	f.rows = len(rows)
+	f.buf = egress.AppendPrefixed(slices.Grow(f.buf[:0], len(text)+rows*len(e.prefix)), e.prefix, text)
+	f.rows = rows
 	f.end = end
 	f.seq = seq
 	f.born = time.Now()
 	if replay {
 		e.replayEncodes.Add(1)
-		e.replayRows.Add(int64(len(rows)))
+		e.replayRows.Add(int64(rows))
 	} else {
 		e.liveEncodes.Add(1)
-		e.liveRows.Add(int64(len(rows)))
+		e.liveRows.Add(int64(rows))
 	}
 	return f
 }
 
-// LiveEncodes returns how many hot-path batch serializations have run.
+// LiveEncodes returns how many live frames have been built (one per
+// published batch).
 func (e *Encoder) LiveEncodes() int64 { return e.liveEncodes.Load() }
 
-// LiveRows returns the rows covered by live serializations.
+// LiveRows returns the rows covered by live frames.
 func (e *Encoder) LiveRows() int64 { return e.liveRows.Load() }
 
-// ReplayEncodes returns cohort catch-up serializations (off hot path).
+// ReplayEncodes returns cohort catch-up frames built (off hot path).
 func (e *Encoder) ReplayEncodes() int64 { return e.replayEncodes.Load() }
 
-// ReplayRows returns the rows covered by replay serializations.
+// ReplayRows returns the rows covered by replay frames.
 func (e *Encoder) ReplayRows() int64 { return e.replayRows.Load() }

@@ -1,11 +1,11 @@
 package fanout
 
 import (
+	"bytes"
 	"math/rand"
 	"sync/atomic"
 
 	"telegraphcq/internal/fjord"
-	"telegraphcq/internal/tuple"
 )
 
 // replayBatch bounds rows per replay frame (the consumer-side catch-up
@@ -39,7 +39,7 @@ type Subscriber struct {
 	replayFrom int64
 	replayEnd  int64
 	skipBelow  int64
-	replayBuf  []*tuple.Tuple
+	replayBuf  []byte
 	replaySeq  int64
 
 	offered       atomic.Int64
@@ -138,8 +138,9 @@ func (sub *Subscriber) admit(f *Frame) bool {
 }
 
 // replayNext produces the next catch-up frame from the spool, or nil
-// when caught up. Replay encodes per subscriber — off the hot path by
-// construction (it reads retained results, not the delivery stream).
+// when caught up. Replay copies spooled text per subscriber — off the
+// hot path by construction (it reads retained results, not the delivery
+// stream).
 func (sub *Subscriber) replayNext() *Frame {
 	if sub.replayFrom >= sub.replayEnd {
 		return nil
@@ -149,31 +150,28 @@ func (sub *Subscriber) replayNext() *Frame {
 		sub.replayFrom = sub.replayEnd
 		return nil
 	}
-	if sub.replayBuf == nil {
-		n := replayBatch
-		if span := sub.replayEnd - sub.replayFrom; span < int64(n) {
-			n = int(span)
-		}
-		sub.replayBuf = make([]*tuple.Tuple, 0, n)
+	limit := replayBatch
+	if span := sub.replayEnd - sub.replayFrom; span < int64(limit) {
+		limit = int(span)
 	}
-	rows, next := sp.FetchInto(sub.replayBuf, sub.replayFrom)
-	// Rows past the window belong to live delivery; rows aged out below
-	// it are gone (the spool is bounded — that loss is by design).
+	text, rows, next := sp.FetchInto(sub.replayBuf[:0], sub.replayFrom, limit)
+	sub.replayBuf = text
+	// A fetch clamped forward past aged-out rows may reach beyond the
+	// window: those rows belong to live delivery. Rows aged out below it
+	// are gone (the spool is bounded — that loss is by design).
+	for ; next > sub.replayEnd && rows > 0; next-- {
+		text = text[:bytes.LastIndexByte(text[:len(text)-1], '\n')+1]
+		rows--
+	}
 	if next > sub.replayEnd {
-		drop := next - sub.replayEnd
-		if drop >= int64(len(rows)) {
-			rows = rows[:0]
-		} else {
-			rows = rows[:int64(len(rows))-drop]
-		}
 		next = sub.replayEnd
 	}
 	sub.replayFrom = next
-	if len(rows) == 0 {
+	if rows == 0 {
 		return nil
 	}
 	sub.replaySeq--
-	f := sub.t.enc.encode(rows, next, sub.replaySeq, true)
+	f := sub.t.enc.frame(text, rows, next, sub.replaySeq, true)
 	sub.replayed.Add(1)
 	if sub.cohort != nil {
 		sub.cohort.advance(next)

@@ -8,7 +8,6 @@ import (
 
 	"telegraphcq/internal/egress"
 	"telegraphcq/internal/fjord"
-	"telegraphcq/internal/tuple"
 )
 
 // ErrClosed reports an Attach against a closed (or failed) tree.
@@ -55,18 +54,19 @@ func (o *Options) defaults() {
 	}
 }
 
-// Tree is one query's fan-out: the producing EO publishes a batch once;
-// the encoder turns it into one shared frame; relay stages spread the
-// frame to leaves; each leaf offers it to its subscribers under their
-// QoS policy. The structure is root → relays → leaves, all connected by
-// SPSC frame rings (each ring has exactly one producing and one
-// consuming stage goroutine).
+// Tree is one query's fan-out: the producing EO publishes a batch's
+// text once; the encoder copies it into one shared frame; relay stages
+// spread the frame to leaves; each leaf offers it to its subscribers
+// under their QoS policy. The structure is root → relays → leaves, all
+// connected by SPSC frame rings (each ring has exactly one producing
+// and one consuming stage goroutine).
 //
 // Tree implements egress.Publisher.
 type Tree struct {
-	opts Options
-	enc  *Encoder
-	root *stage
+	opts    Options
+	enc     *Encoder
+	root    *stage
+	rowText []byte // Publish's encode scratch
 
 	mu      sync.Mutex
 	relays  []*stage
@@ -240,14 +240,15 @@ func (s *stage) addChild(c *stage) {
 
 // ------------------------------------------------------------ publish
 
-// Publish implements egress.Publisher: encode the batch once, hand the
-// shared frame to the root ring. The producing EO pays one encode and
-// one ring publish per batch — O(1) in the subscriber count. With no
+// PublishText implements egress.Publisher: copy the batch's delivered
+// text into one shared frame and hand it to the root ring. The producing
+// EO pays one copy and one ring publish per batch — O(1) in the
+// subscriber count; the rows were rendered once, by the Hub. With no
 // live subscribers the publish is skipped entirely: the query's spool
-// already retains the rows for late joiners, whose replay window is
-// read after they attach.
-func (t *Tree) Publish(rows []*tuple.Tuple, end int64) {
-	if len(rows) == 0 {
+// already logs the text for late joiners, whose replay window is read
+// after they attach.
+func (t *Tree) PublishText(text []byte, rows int, end int64) {
+	if rows == 0 {
 		return
 	}
 	if t.nsubs.Load() == 0 {
@@ -255,12 +256,21 @@ func (t *Tree) Publish(rows []*tuple.Tuple, end int64) {
 		return
 	}
 	t.published.Add(1)
-	t.publishedRows.Add(int64(len(rows)))
-	f := t.enc.encode(rows, end, t.frameSeq.Add(1), false)
+	t.publishedRows.Add(int64(rows))
+	f := t.enc.frame(text, rows, end, t.frameSeq.Add(1), false)
 	if t.root.in.Enqueue(f) != nil {
 		t.rootShed.Add(1)
 		f.Release()
 	}
+}
+
+// Publish is PublishText for a caller holding rows rather than their
+// delivered text (the benchmark ladder's fanout.publish rung): it
+// renders them with egress.AppendLines into the tree's scratch. Calls
+// must be serialized, like the Hub's deliveries.
+func (t *Tree) Publish(rows egress.Rows, end int64) {
+	t.rowText = egress.AppendLines(t.rowText[:0], rows)
+	t.PublishText(t.rowText, len(rows), end)
 }
 
 // Fail implements egress.Publisher: record the terminal error, then

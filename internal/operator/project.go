@@ -71,30 +71,16 @@ func (p *Project) Interested(t *tuple.Tuple) bool {
 }
 
 // Process implements Module: emits the projected tuple and consumes the
-// input.
+// input. Unlike Apply, the output keeps the input's query interest
+// (CACQ output path).
 func (p *Project) Process(t *tuple.Tuple, emit Emit) (Outcome, error) {
-	p.stats.In++
-	vals := make([]tuple.Value, len(p.exprs))
-	if p.compiled != nil {
-		if err := p.compiled.EvalInto(t, vals); err != nil {
-			return Drop, err
-		}
-	} else {
-		for i, e := range p.exprs {
-			v, err := e.Eval(t)
-			if err != nil {
-				return Drop, err
-			}
-			vals[i] = v
-		}
+	out, err := p.Apply(t)
+	if err != nil {
+		return Drop, err
 	}
-	out := tuple.New(p.out, vals...)
-	out.TS = t.TS
 	if t.Lin != nil {
-		// Projection preserves query interest (CACQ output path).
 		out.Lineage().Queries.CopyFrom(&t.Lin.Queries)
 	}
-	p.stats.Out++
 	emit(out)
 	return Consumed, nil
 }
@@ -102,9 +88,29 @@ func (p *Project) Process(t *tuple.Tuple, emit Emit) (Outcome, error) {
 // ModuleStats implements StatsProvider.
 func (p *Project) ModuleStats() Stats { return p.stats }
 
-// Apply projects a single tuple directly (per-query output pipelines).
+// Apply projects a single tuple directly (per-query output pipelines,
+// reached after routing, where nothing reads lineage). The output comes
+// from the tuple pool and carries no lineage; on error it goes back.
 func (p *Project) Apply(t *tuple.Tuple) (*tuple.Tuple, error) {
-	var out *tuple.Tuple
-	_, err := p.Process(t, func(x *tuple.Tuple) { out = x })
-	return out, err
+	p.stats.In++
+	out := tuple.NewPooled(p.out)
+	out.Values = append(out.Values, make([]tuple.Value, len(p.exprs))...)
+	out.TS = t.TS
+	if p.compiled != nil {
+		if err := p.compiled.EvalInto(t, out.Values); err != nil {
+			tuple.Recycle(out)
+			return nil, err
+		}
+	} else {
+		for i, e := range p.exprs {
+			v, err := e.Eval(t)
+			if err != nil {
+				tuple.Recycle(out)
+				return nil, err
+			}
+			out.Values[i] = v
+		}
+	}
+	p.stats.Out++
+	return out, nil
 }

@@ -445,7 +445,7 @@ func (c *session) pump(id int, sub *egress.Subscription) {
 			for _, r := range batch {
 				buf = append(r.AppendText(append(buf, prefix...)), '\n')
 				// The consumer retires rows once encoded for the wire (a
-				// no-op for rows the spool retained).
+				// no-op for raw rows the engine shares between queries).
 				tuple.Recycle(r)
 			}
 			c.wmu.Lock()
@@ -562,10 +562,13 @@ func (c *session) fetch(fields []string) {
 		c.sendErr(fmt.Errorf("bad FETCH arguments"))
 		return
 	}
-	sp := c.srv.Exec.Hub().SpoolFor(id, 0)
-	rows, next := sp.Fetch(off)
-	c.send("rows %d %d %d", id, len(rows), next)
-	for _, r := range rows {
-		c.send("row %d %s", id, r.String())
-	}
+	text, rows, next := c.srv.Exec.Hub().SpoolFor(id, 0).Fetch(off)
+	// The reply — the header, then each spooled line behind its "row <id> "
+	// prefix — leaves in one write.
+	prefix := []byte("row " + strconv.Itoa(id) + " ")
+	buf := make([]byte, 0, 32+len(text)+rows*len(prefix))
+	buf = egress.AppendPrefixed(fmt.Appendf(buf, "rows %d %d %d\n", id, rows, next), prefix, text)
+	c.wmu.Lock()
+	_, _ = c.conn.Write(buf)
+	c.wmu.Unlock()
 }

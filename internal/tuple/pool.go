@@ -22,10 +22,12 @@ import (
 //     *retires* a tuple may recycle it: the eddy when routing drops it,
 //     egress after final delivery, a producer whose enqueue was shed.
 //   - A module that stores a tuple beyond the call that received it
-//     (SteM entries, spooled results, rows shared by several queries'
+//     (SteM entries, window buffers, rows shared by several queries'
 //     deliveries) must call Retain first. A retained tuple is never
 //     pooled — Recycle on it is a no-op — so long-lived references stay
-//     valid without reference counting.
+//     valid without reference counting. A module that needs only a
+//     row's wire text keeps the text instead (egress spools and fan-out
+//     frames do), so the row still returns to the pool.
 //   - Recycling nil is a no-op, so error paths need no guards.
 //
 // Build with -tags tcqdebug to poison buffers on Put: a stale reference
