@@ -280,6 +280,24 @@ func (h *Hub) SpoolFor(id int, capacity int) *Spool {
 	return r.sp
 }
 
+// Spool returns the pull spool attached to a query id, if any; unlike
+// SpoolFor it never creates a route.
+func (h *Hub) Spool(id int) (*Spool, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if r := h.routes[id]; r != nil && r.sp != nil {
+		return r.sp, true
+	}
+	return nil, false
+}
+
+// Routes returns the number of query ids the Hub holds consumers for.
+func (h *Hub) Routes() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.routes)
+}
+
 // Deliver routes one result row to the query's consumers: DeliverBatch
 // over a one-row batch.
 func (h *Hub) Deliver(id int, row *tuple.Tuple) {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -595,13 +596,13 @@ func (x *Executor) EOCount() int {
 // routes it to every EO reading the stream. Returns the assigned
 // sequence.
 func (x *Executor) Push(stream string, vals []tuple.Value) (int64, error) {
-	return x.push(stream, -1, time.Now(), vals)
+	return x.admit([]string{stream}, [][]tuple.Value{vals}, -1, time.Now(), nil)
 }
 
 // PushAt delivers a tuple carrying a source-assigned logical timestamp
 // (e.g. the trading day); timestamps may repeat but not regress.
 func (x *Executor) PushAt(stream string, seq int64, vals []tuple.Value) error {
-	_, err := x.push(stream, seq, time.Now(), vals)
+	_, err := x.admit([]string{stream}, [][]tuple.Value{vals}, seq, time.Now(), nil)
 	return err
 }
 
@@ -610,49 +611,135 @@ func (x *Executor) PushAt(stream string, seq int64, vals []tuple.Value) error {
 // windows reproducibly. A zero wall admits the tuple untimestamped: it
 // has no physical coordinate and belongs to no physical window.
 func (x *Executor) PushStamped(stream string, wall time.Time, vals []tuple.Value) (int64, error) {
-	return x.push(stream, -1, wall, vals)
+	return x.admit([]string{stream}, [][]tuple.Value{vals}, -1, wall, nil)
 }
 
-func (x *Executor) push(stream string, seq int64, wall time.Time, vals []tuple.Value) (int64, error) {
-	src, err := x.cat.Lookup(stream)
-	if err != nil {
-		return 0, err
-	}
-	if src.Kind != catalog.KindStream {
-		return 0, fmt.Errorf("executor: %s is a table; use INSERT", stream)
-	}
-	if len(vals) != src.Schema.Arity() {
-		return 0, fmt.Errorf("executor: %s expects %d values, got %d", stream, src.Schema.Arity(), len(vals))
-	}
-	if seq < 0 {
-		seq = src.NextSeq()
-	} else if err := src.AdvanceTo(seq); err != nil {
-		return 0, err
-	}
-	// Pooled admission: copy the caller's values so the tuple (and its
-	// backing array) can be recycled once the dataflow retires it.
-	t := tuple.NewPooled(src.Schema)
-	t.Values = append(t.Values, vals...)
-	t.TS = tuple.Timestamp{Seq: seq, Wall: wall}
+// PushBatch stamps a batch of tuples of one stream with consecutive
+// sequence numbers and moves the whole slice to every reading EO with a
+// single queue operation each. Returns the last assigned sequence. A
+// row of the wrong arity fails the batch before any row is admitted. A
+// full EO queue sheds the unaccepted suffix (QoS, as with Push).
+func (x *Executor) PushBatch(stream string, rows [][]tuple.Value) (int64, error) {
+	return x.admit([]string{stream}, rows, -1, time.Now(), nil)
+}
 
-	eos := x.readers(stream)
-	if len(eos) == 0 {
-		tuple.Recycle(t)
-		return seq, nil
+// PushRows admits one Wrapper read: rows[i] belongs to streams[i], the
+// streams may be mixed, and each reading EO receives its rows in arrival
+// order. The rows share one wall stamp. A row that cannot be admitted
+// (unknown stream, a table, wrong arity) goes to refuse and the rest are
+// admitted. The values are copied; the caller keeps the slices.
+func (x *Executor) PushRows(streams []string, rows [][]tuple.Value, refuse func(i int, err error)) {
+	_, _ = x.admit(streams, rows, -1, time.Now(), refuse)
+}
+
+// admit is the one admission body behind every Push variant. Row i
+// belongs to streams[i], or to streams[0] when that is the only entry.
+// Each distinct stream's source and readers are looked up once, and
+// every row is checked before any tuple is drawn from the pool or any
+// sequence number is taken. A bad row goes to refuse or, when refuse is
+// nil, fails the whole call. seq >= 0 is a source-assigned timestamp
+// for a one-row call. Each reading EO receives its rows, in arrival
+// order, with one TryEnqueueBatch; the suffix that does not fit goes
+// through offer under the row's stream's overflow policy. Returns the
+// last sequence number assigned.
+func (x *Executor) admit(streams []string, rows [][]tuple.Value, seq int64, wall time.Time, refuse func(int, error)) (int64, error) {
+	type feed struct {
+		name string
+		src  *catalog.Source
+		err  error
+		eos  []*execObject
 	}
-	// Each EO mutates (and may recycle) its copy, so clone everything
-	// up front — an EO can retire the original the moment it is
-	// enqueued. The common single-EO case pays no clone.
-	copies := make([]*tuple.Tuple, len(eos))
-	copies[0] = t
-	for i := 1; i < len(eos); i++ {
-		copies[i] = t.Clone()
+	type admission struct {
+		feed int // -1: refused
+		seq  int64
 	}
-	qos := src.QoS()
-	for i, eo := range eos {
-		x.offer(eo, copies[i], stream, qos)
+	var feedBuf [4]feed
+	var admBuf [8]admission
+	feeds, adm := feedBuf[:0], slices.Grow(admBuf[:0], len(rows))
+	for i, vals := range rows {
+		name := streams[min(i, len(streams)-1)]
+		fi := slices.IndexFunc(feeds, func(f feed) bool { return f.name == name })
+		if fi < 0 {
+			f := feed{name: name}
+			if f.src, f.err = x.cat.Lookup(name); f.err == nil && f.src.Kind != catalog.KindStream {
+				f.err = fmt.Errorf("executor: %s is a table; use INSERT", name)
+			} else if f.err == nil {
+				// The catalog's copy of the name: the QoS books may keep
+				// it, and name may be a slice of a whole wire line.
+				f.name, f.eos = f.src.Name, x.readers(name)
+			}
+			fi, feeds = len(feeds), append(feeds, f)
+		}
+		err := feeds[fi].err
+		if err == nil && len(vals) != feeds[fi].src.Schema.Arity() {
+			err = fmt.Errorf("executor: %s expects %d values, got %d", name, feeds[fi].src.Schema.Arity(), len(vals))
+		}
+		if err != nil {
+			if refuse == nil {
+				return 0, err
+			}
+			refuse(i, err)
+			fi = -1
+		}
+		adm = append(adm, admission{feed: fi})
 	}
-	return seq, nil
+	if seq >= 0 {
+		if err := feeds[0].src.AdvanceTo(seq); err != nil {
+			return 0, err
+		}
+	}
+	last := max(seq, 0)
+	for i := range adm {
+		if adm[i].feed >= 0 && seq < 0 {
+			last = feeds[adm[i].feed].src.NextSeq()
+		}
+		adm[i].seq = last
+	}
+	// Every reading EO gets its own pooled copy of each row: an EO may
+	// recycle a tuple the moment it is enqueued, so no copy is shared.
+	var doneBuf [4]*execObject
+	done, batch := doneBuf[:0], make([]*tuple.Tuple, 0, len(rows))
+	for _, f := range feeds {
+		for _, eo := range f.eos {
+			if slices.Contains(done, eo) {
+				continue
+			}
+			done, batch = append(done, eo), batch[:0]
+			for i, a := range adm {
+				if a.feed >= 0 && slices.Contains(feeds[a.feed].eos, eo) {
+					t := tuple.NewPooled(feeds[a.feed].src.Schema)
+					t.Values = append(t.Values, rows[i]...)
+					t.TS = tuple.Timestamp{Seq: a.seq, Wall: wall}
+					batch = append(batch, t)
+				}
+			}
+			// Under chaos every tuple takes the policy path, so each
+			// draws its own simulated queue-full burst.
+			n := 0
+			if x.opts.Chaos == nil {
+				n = eo.data.TryEnqueueBatch(batch)
+			}
+			for _, t := range batch[n:] {
+				f := feeds[slices.IndexFunc(feeds, func(f feed) bool { return f.err == nil && f.src.Schema == t.Schema })]
+				x.offer(eo, t, f.name, f.src.QoS())
+			}
+		}
+	}
+	return last, nil
+}
+
+// readers snapshots the live EOs fed by a stream (a quarantined EO
+// accepts no more data; its tuples would be recycled unprocessed).
+func (x *Executor) readers(stream string) []*execObject {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	eos := make([]*execObject, 0, len(x.eos))
+	for _, eo := range x.eos {
+		if eo.feeds[stream] && !eo.dead.Load() {
+			eos = append(eos, eo)
+		}
+	}
+	return eos
 }
 
 // offer admits one tuple into one EO's ingress queue under the stream's
@@ -691,81 +778,6 @@ func (x *Executor) qosDraw() float64 {
 	x.qosMu.Lock()
 	defer x.qosMu.Unlock()
 	return x.qosRng.Float64()
-}
-
-// PushBatch stamps a batch of tuples of one stream with consecutive
-// sequence numbers and moves the whole slice to every reading EO with a
-// single queue operation each. Returns the last assigned sequence. A
-// full EO queue sheds the unaccepted suffix (QoS, as with Push).
-func (x *Executor) PushBatch(stream string, rows [][]tuple.Value) (int64, error) {
-	src, err := x.cat.Lookup(stream)
-	if err != nil {
-		return 0, err
-	}
-	if src.Kind != catalog.KindStream {
-		return 0, fmt.Errorf("executor: %s is a table; use INSERT", stream)
-	}
-	wall := time.Now()
-	var seq int64
-	ts := make([]*tuple.Tuple, len(rows))
-	for i, vals := range rows {
-		if len(vals) != src.Schema.Arity() {
-			return 0, fmt.Errorf("executor: %s expects %d values, got %d", stream, src.Schema.Arity(), len(vals))
-		}
-		seq = src.NextSeq()
-		t := tuple.NewPooled(src.Schema)
-		t.Values = append(t.Values, vals...)
-		t.TS = tuple.Timestamp{Seq: seq, Wall: wall}
-		ts[i] = t
-	}
-	eos := x.readers(stream)
-	if len(eos) == 0 {
-		for _, t := range ts {
-			tuple.Recycle(t)
-		}
-		return seq, nil
-	}
-	// As in push: all clones are taken before any EO can touch (or
-	// retire) the originals.
-	batches := make([][]*tuple.Tuple, len(eos))
-	batches[0] = ts
-	for i := 1; i < len(eos); i++ {
-		cl := make([]*tuple.Tuple, len(ts))
-		for j, t := range ts {
-			cl[j] = t.Clone()
-		}
-		batches[i] = cl
-	}
-	qos := src.QoS()
-	for i, eo := range eos {
-		batch := batches[i]
-		// Vectorized fast path; a chaos queue-full burst diverts the
-		// whole batch through the per-tuple policy path instead.
-		n := 0
-		if !(x.opts.Chaos != nil && x.opts.Chaos.QueueFull()) {
-			n = eo.data.TryEnqueueBatch(batch)
-		}
-		// The unaccepted suffix goes through the stream's overflow
-		// policy tuple by tuple (block waits, drop-oldest evicts, ...).
-		for _, t := range batch[n:] {
-			x.offer(eo, t, stream, qos)
-		}
-	}
-	return seq, nil
-}
-
-// readers snapshots the live EOs fed by a stream (a quarantined EO
-// accepts no more data; its tuples would be recycled unprocessed).
-func (x *Executor) readers(stream string) []*execObject {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	eos := make([]*execObject, 0, len(x.eos))
-	for _, eo := range x.eos {
-		if eo.feeds[stream] && !eo.dead.Load() {
-			eos = append(eos, eo)
-		}
-	}
-	return eos
 }
 
 // Barrier waits until every EO has drained its queue and run its engine

@@ -362,3 +362,66 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatal("submit after close succeeded")
 	}
 }
+
+// A row of the wrong arity in the middle of a PushBatch fails the batch
+// before anything is drawn: no row is admitted and no sequence number is
+// spent.
+func TestPushBatchBadRowAdmitsNothing(t *testing.T) {
+	x := New(newCat(t), Options{})
+	defer x.Close()
+	_, sub := submit(t, x, `SELECT sym, price FROM stocks`)
+	src, err := x.cat.Lookup("stocks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushStocks(t, x, [2]any{"A", 1.0})
+	before := src.CurSeq()
+	rows := [][]tuple.Value{
+		{tuple.String("B"), tuple.Float(2)},
+		{tuple.String("C"), tuple.Float(3)},
+		{tuple.String("D")},
+		{tuple.String("E"), tuple.Float(5)},
+	}
+	if _, err := x.PushBatch("stocks", rows); err == nil {
+		t.Fatal("batch with a short row accepted")
+	}
+	if got := src.CurSeq(); got != before {
+		t.Fatalf("next sequence moved from %d to %d", before+1, got+1)
+	}
+	if got := drain(t, x, sub); len(got) != 1 {
+		t.Fatalf("admitted %d rows, want only the one before the bad batch", len(got))
+	}
+}
+
+// PushRows admits a mixed-stream read in arrival order, refuses exactly
+// the bad rows by index, and numbers each stream's rows consecutively.
+func TestPushRowsMixedStreamsRefusesByRow(t *testing.T) {
+	x := New(newCat(t), Options{})
+	defer x.Close()
+	_, quotes := submit(t, x, `SELECT sym, price FROM stocks`)
+	_, news := submit(t, x, `SELECT sym, score FROM news`)
+	streams := []string{"stocks", "news", "nope", "stocks", "news", "stocks"}
+	rows := [][]tuple.Value{
+		{tuple.String("A"), tuple.Float(1)},
+		{tuple.String("A"), tuple.Float(10)},
+		{tuple.String("X"), tuple.Float(0)},
+		{tuple.String("B")},
+		{tuple.String("B"), tuple.Float(20)},
+		{tuple.String("C"), tuple.Float(3)},
+	}
+	var refused []int
+	x.PushRows(streams, rows, func(i int, err error) { refused = append(refused, i) })
+	if fmt.Sprint(refused) != "[2 3]" {
+		t.Fatalf("refused rows %v, want [2 3]", refused)
+	}
+	var got []string
+	for _, r := range drain(t, x, quotes) {
+		got = append(got, fmt.Sprintf("%s/%d", r.Values[0].S, r.TS.Seq))
+	}
+	for _, r := range drain(t, x, news) {
+		got = append(got, fmt.Sprintf("%s/%d", r.Values[0].S, r.TS.Seq))
+	}
+	if fmt.Sprint(got) != "[A/1 C/2 A/1 B/2]" {
+		t.Fatalf("admitted %v", got)
+	}
+}

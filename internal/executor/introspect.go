@@ -475,6 +475,7 @@ func (x *Executor) registerCollectors() {
 
 		gauge("tcq_eos", "execution objects running", float64(len(eos)))
 		gauge("tcq_queries_active", "standing continuous queries", float64(nq))
+		gauge("tcq_hub_routes", "query ids the egress Hub holds consumers for", float64(x.hub.Routes()))
 
 		x.mu.Lock()
 		quarantines := x.quarantines

@@ -9,6 +9,7 @@ package ingress
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -26,11 +27,12 @@ import (
 // Sink receives parsed rows for a stream; the executor's Push is one.
 type Sink func(stream string, vals []tuple.Value) error
 
-// BatchSink receives a batch of parsed rows for one stream; the
-// executor's PushBatch is one. Vectorized wrappers hand whole slices
-// down so the executor can move them through its Fjords with one queue
-// operation per batch.
-type BatchSink func(stream string, rows [][]tuple.Value) error
+// BatchSink admits one Wrapper read's rows in arrival order: rows[i]
+// belongs to streams[i]. It hands each row it refuses to refuse and
+// admits the rest; the executor's PushRows is one. The sink must not
+// keep rows or their backing arrays: the Wrapper reuses them for its
+// next read.
+type BatchSink func(streams []string, rows [][]tuple.Value, refuse func(i int, err error))
 
 // ParseRow converts CSV fields to values following a schema.
 func ParseRow(schema *tuple.Schema, fields []string) ([]tuple.Value, error) {
@@ -39,43 +41,71 @@ func ParseRow(schema *tuple.Schema, fields []string) ([]tuple.Value, error) {
 	}
 	vals := make([]tuple.Value, len(fields))
 	for i, f := range fields {
-		f = strings.TrimSpace(f)
-		// NULL is a valid value for every column kind, not just strings —
-		// sensors report missing readings as NULL in any position.
-		if f == "NULL" {
-			vals[i] = tuple.Null()
-			continue
+		v, err := parseValue(&schema.Cols[i], f)
+		if err != nil {
+			return nil, err
 		}
-		switch schema.Cols[i].Kind {
-		case tuple.KindInt:
-			n, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("ingress: column %s: %w", schema.Cols[i].Name, err)
-			}
-			vals[i] = tuple.Int(n)
-		case tuple.KindFloat:
-			x, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("ingress: column %s: %w", schema.Cols[i].Name, err)
-			}
-			vals[i] = tuple.Float(x)
-		case tuple.KindBool:
-			b, err := strconv.ParseBool(f)
-			if err != nil {
-				return nil, fmt.Errorf("ingress: column %s: %w", schema.Cols[i].Name, err)
-			}
-			vals[i] = tuple.Bool(b)
-		case tuple.KindTime:
-			ns, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("ingress: column %s: %w", schema.Cols[i].Name, err)
-			}
-			vals[i] = tuple.Value{K: tuple.KindTime, I: ns}
-		default:
-			vals[i] = tuple.String(f)
-		}
+		vals[i] = v
 	}
 	return vals, nil
+}
+
+// appendRow is ParseRow over one line of sep-separated fields, with no
+// field slice: it appends the row's values to dst. String values are
+// substrings of line. On error dst comes back at its original length.
+func appendRow(dst []tuple.Value, schema *tuple.Schema, line, sep string) ([]tuple.Value, error) {
+	if n := strings.Count(line, sep) + 1; n != schema.Arity() {
+		return dst, fmt.Errorf("ingress: %d fields for %d columns", n, schema.Arity())
+	}
+	base := len(dst)
+	for i := range schema.Cols {
+		f := line
+		if j := strings.Index(line, sep); j >= 0 {
+			f, line = line[:j], line[j+len(sep):]
+		}
+		v, err := parseValue(&schema.Cols[i], f)
+		if err != nil {
+			return dst[:base], err
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
+}
+
+// parseValue converts one CSV field to a value of col's kind.
+func parseValue(col *tuple.Column, f string) (tuple.Value, error) {
+	f = strings.TrimSpace(f)
+	// NULL is a valid value for every column kind, not just strings —
+	// sensors report missing readings as NULL in any position.
+	if f == "NULL" {
+		return tuple.Null(), nil
+	}
+	var err error
+	switch col.Kind {
+	case tuple.KindInt:
+		var n int64
+		if n, err = strconv.ParseInt(f, 10, 64); err == nil {
+			return tuple.Int(n), nil
+		}
+	case tuple.KindFloat:
+		var x float64
+		if x, err = strconv.ParseFloat(f, 64); err == nil {
+			return tuple.Float(x), nil
+		}
+	case tuple.KindBool:
+		var b bool
+		if b, err = strconv.ParseBool(f); err == nil {
+			return tuple.Bool(b), nil
+		}
+	case tuple.KindTime:
+		var ns int64
+		if ns, err = strconv.ParseInt(f, 10, 64); err == nil {
+			return tuple.Value{K: tuple.KindTime, I: ns}, nil
+		}
+	default:
+		return tuple.String(f), nil
+	}
+	return tuple.Value{}, fmt.Errorf("ingress: column %s: %w", col.Name, err)
 }
 
 // ------------------------------------------------------------ CSVReader
@@ -94,14 +124,14 @@ func (c *CSVReader) Run(r io.Reader, sink Sink) (int64, error) {
 		sep = ","
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	var n int64
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		vals, err := ParseRow(c.Schema, strings.Split(line, sep))
+		vals, err := appendRow(make([]tuple.Value, 0, c.Schema.Arity()), c.Schema, line, sep)
 		if err != nil {
 			return n, err
 		}
@@ -109,53 +139,6 @@ func (c *CSVReader) Run(r io.Reader, sink Sink) (int64, error) {
 			return n, err
 		}
 		n++
-	}
-	return n, sc.Err()
-}
-
-// RunBatch parses r to exhaustion, delivering rows to sink in batches
-// of up to batch rows (<=0 → 256).
-func (c *CSVReader) RunBatch(r io.Reader, batch int, sink BatchSink) (int64, error) {
-	if batch <= 0 {
-		batch = 256
-	}
-	sep := c.Comma
-	if sep == "" {
-		sep = ","
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var n int64
-	pend := make([][]tuple.Value, 0, batch)
-	flush := func() error {
-		if len(pend) == 0 {
-			return nil
-		}
-		if err := sink(c.Stream, pend); err != nil {
-			return err
-		}
-		n += int64(len(pend))
-		pend = pend[:0]
-		return nil
-	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		vals, err := ParseRow(c.Schema, strings.Split(line, sep))
-		if err != nil {
-			return n, err
-		}
-		pend = append(pend, vals)
-		if len(pend) == batch {
-			if err := flush(); err != nil {
-				return n, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return n, err
 	}
 	return n, sc.Err()
 }
@@ -315,25 +298,34 @@ func (p *SensorProxy) Stop() { p.stopped.Store(true) }
 
 // PushServer is the Wrapper's well-known port: remote push sources
 // connect and send "stream,field,field,..." lines (push-server sources,
-// §4.2.3). Streams must be registered before data arrives.
+// §4.2.3). Streams must be registered before data arrives. Each
+// connection hands the sink the rows one read brought in as one batch,
+// parsed into a reused value arena (DESIGN.md, "Wire in at the batch
+// unit").
 type PushServer struct {
 	mu      sync.Mutex
 	schemas map[string]*tuple.Schema
 	ln      net.Listener
-	sink    Sink
+	sink    BatchSink
 	wg      sync.WaitGroup
 	conns   map[net.Conn]struct{}
 	closed  bool
 	rows    atomic.Int64
 	errs    atomic.Int64
+	batches atomic.Int64
 
 	// Chaos, when set, injects faults into every connection: read stalls,
 	// forced disconnects, and corrupted lines (nil-safe; see internal/chaos).
 	Chaos *chaos.Injector
 }
 
+const (
+	maxLine   = 1024 * 1024 // bytes in a line with its newline; a longer one ends the connection
+	readBatch = 256         // rows a flush hands the sink at most: the executor's EO drain batch
+)
+
 // NewPushServer builds a push-server delivering into sink.
-func NewPushServer(sink Sink) *PushServer {
+func NewPushServer(sink BatchSink) *PushServer {
 	return &PushServer{
 		schemas: map[string]*tuple.Schema{},
 		conns:   map[net.Conn]struct{}{},
@@ -391,59 +383,111 @@ func (s *PushServer) acceptLoop() {
 }
 
 func (s *PushServer) serve(conn net.Conn) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	r := bufio.NewReaderSize(conn, 64*1024)
 	w := bufio.NewWriter(conn)
+	var (
+		lineNo  int
+		vals    []tuple.Value // the batch's value arena; rows are slices of it
+		rows    = make([][]tuple.Value, 0, readBatch)
+		streams = make([]string, 0, readBatch) // row i's stream
+		lines   = make([]int, 0, readBatch)    // row i's line number, for the sink's refusals
+		refused int
+		long    []byte // a line longer than r's buffer, reassembled
+	)
 	// reject reports a bad line back to the source ("error <line#> <why>")
 	// instead of dropping it silently; a source that never reads simply
 	// accumulates the replies in its socket buffer.
-	lineNo := 0
-	reject := func(why string) {
+	reject := func(n int, why string) {
 		s.errs.Add(1)
-		fmt.Fprintf(w, "error %d %s\n", lineNo, strings.ReplaceAll(why, "\n", " "))
+		fmt.Fprintf(w, "error %d %s\n", n, strings.ReplaceAll(why, "\n", " "))
 		_ = w.Flush()
 	}
-	for sc.Scan() {
-		lineNo++
-		// Fault injection: stall the read loop, drop the connection, or
-		// corrupt the line before it is parsed — the downstream path must
-		// reject corruption and the supervisor must absorb the disconnect.
-		if d := s.Chaos.Stall(); d > 0 {
-			time.Sleep(d)
-		}
-		if s.Chaos.Disconnect() {
+	refuse := func(i int, err error) {
+		refused++
+		reject(lines[i], err.Error())
+	}
+	flush := func() {
+		if len(rows) == 0 {
 			return
 		}
-		line := strings.TrimSpace(sc.Text())
+		refused = 0
+		s.sink(streams, rows, refuse)
+		s.rows.Add(int64(len(rows) - refused))
+		s.batches.Add(1)
+		vals, rows, streams, lines = vals[:0], rows[:0], streams[:0], lines[:0]
+	}
+	// take parses one line into the batch, or says why it cannot.
+	take := func(raw []byte) string {
+		// The line's one allocation: every string value is a substring.
+		line := strings.TrimSpace(string(raw))
+		// Fault injection: corrupt the line before it is parsed — the
+		// downstream path must reject it.
 		if corrupted, ok := s.Chaos.CorruptLine(line); ok {
 			line = corrupted
 		}
 		if line == "" {
-			continue
+			return ""
 		}
 		idx := strings.IndexByte(line, ',')
 		if idx < 0 {
-			reject("expected stream,field,... line")
-			continue
+			return "expected stream,field,... line"
 		}
 		stream := line[:idx]
 		s.mu.Lock()
 		schema := s.schemas[stream]
 		s.mu.Unlock()
 		if schema == nil {
-			reject(fmt.Sprintf("unknown stream %q", stream))
-			continue
+			return fmt.Sprintf("unknown stream %q", stream)
 		}
-		vals, err := ParseRow(schema, strings.Split(line[idx+1:], ","))
+		base := len(vals)
+		var err error
+		if vals, err = appendRow(vals, schema, line[idx+1:], ","); err != nil {
+			return err.Error()
+		}
+		rows = append(rows, vals[base:len(vals):len(vals)])
+		streams, lines = append(streams, stream), append(lines, lineNo)
+		return ""
+	}
+	defer flush()
+	for {
+		raw, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], raw...)
+			for err == bufio.ErrBufferFull && len(long) <= maxLine {
+				raw, err = r.ReadSlice('\n')
+				long = append(long, raw...)
+			}
+			if len(long) > maxLine {
+				return
+			}
+			raw = long
+		}
+		if len(raw) > 0 {
+			lineNo++
+			// Fault injection: stall the read loop or drop the connection
+			// — the supervisor must absorb the disconnect. Rows already
+			// read leave first.
+			if d := s.Chaos.Stall(); d > 0 {
+				flush()
+				time.Sleep(d)
+			}
+			if s.Chaos.Disconnect() {
+				return
+			}
+			// Rows before a bad line leave before its reply, so replies
+			// keep line order.
+			if why := take(raw); why != "" {
+				flush()
+				reject(lineNo, why)
+			}
+		}
 		if err != nil {
-			reject(err.Error())
-			continue
+			return
 		}
-		if err := s.sink(stream, vals); err != nil {
-			reject(err.Error())
-			continue
+		// Flush when reading on could block: no complete line is left.
+		if buf, _ := r.Peek(r.Buffered()); len(rows) == readBatch || bytes.IndexByte(buf, '\n') < 0 {
+			flush()
 		}
-		s.rows.Add(1)
 	}
 }
 
@@ -452,6 +496,10 @@ func (s *PushServer) Rows() int64 { return s.rows.Load() }
 
 // Errs returns the count of rejected input lines.
 func (s *PushServer) Errs() int64 { return s.errs.Load() }
+
+// Batches returns the count of batches handed to the sink; Rows over
+// Batches is the rows one read carries.
+func (s *PushServer) Batches() int64 { return s.batches.Load() }
 
 // Close stops the listener, severs live source connections, and waits
 // for their goroutines to finish. Severing matters: a remote source
@@ -553,7 +601,7 @@ func (c *PushClient) Run(addr string, sink Sink) (int64, error) {
 		conn.Close()
 	}()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine)
 	var n int64
 	for {
 		// Arm the deadlines per line, not per connection: a live feed may
@@ -571,7 +619,7 @@ func (c *PushClient) Run(addr string, sink Sink) (int64, error) {
 		if line == "" {
 			continue
 		}
-		vals, err := ParseRow(c.Schema, strings.Split(line, ","))
+		vals, err := appendRow(make([]tuple.Value, 0, c.Schema.Arity()), c.Schema, line, ",")
 		if err != nil {
 			c.badRows.Add(1)
 			continue

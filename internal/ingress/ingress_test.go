@@ -32,6 +32,14 @@ func (m *memSink) sink(stream string, vals []tuple.Value) error {
 	return nil
 }
 
+// batch is the sink as a BatchSink. It copies each row: the Wrapper
+// reuses its arena for the next read.
+func (m *memSink) batch(streams []string, rows [][]tuple.Value, _ func(int, error)) {
+	for i, vals := range rows {
+		_ = m.sink(streams[i], append([]tuple.Value(nil), vals...))
+	}
+}
+
 func (m *memSink) count() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -237,7 +245,7 @@ func TestSensorProxyRateControl(t *testing.T) {
 
 func TestPushServerEndToEnd(t *testing.T) {
 	var m memSink
-	s := NewPushServer(m.sink)
+	s := NewPushServer(m.batch)
 	s.Register("s", schema)
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {

@@ -195,7 +195,7 @@ func TestSupervisedPushClientReconnects(t *testing.T) {
 // keep accepting fresh connections.
 func TestPushServerChaos(t *testing.T) {
 	var m memSink
-	s := NewPushServer(m.sink)
+	s := NewPushServer(m.batch)
 	s.Chaos = chaos.New(chaos.Config{Seed: 7, Corrupt: 0.3, Disconnect: 0.05})
 	s.Register("s", schema)
 	addr, err := s.Listen("127.0.0.1:0")

@@ -73,11 +73,16 @@ func New(opts executor.Options) *Server {
 		Sources: ingress.NewRegistry(),
 		conns:   map[net.Conn]struct{}{},
 	}
-	s.wrapper = ingress.NewPushServer(func(stream string, vals []tuple.Value) error {
-		_, err := s.Exec.Push(stream, vals)
-		return err
-	})
+	s.wrapper = ingress.NewPushServer(s.Exec.PushRows)
 	s.wrapper.Chaos = opts.Chaos
+	s.Exec.Metrics().Register(func(emit telemetry.Emit) {
+		counter := func(name, help string, v int64) {
+			emit(telemetry.Sample{Name: name, Help: help, Kind: telemetry.KindCounter, Value: float64(v)})
+		}
+		counter("tcq_wrapper_rows_total", "rows the Wrapper port admitted", s.wrapper.Rows())
+		counter("tcq_wrapper_rejected_total", "Wrapper lines answered with an error", s.wrapper.Errs())
+		counter("tcq_wrapper_batches_total", "batches the Wrapper handed the executor", s.wrapper.Batches())
+	})
 	s.Exec.SetSourceStats(func() []executor.SourceStat {
 		snaps := s.Sources.Snapshots()
 		out := make([]executor.SourceStat, len(snaps))
@@ -562,7 +567,13 @@ func (c *session) fetch(fields []string) {
 		c.sendErr(fmt.Errorf("bad FETCH arguments"))
 		return
 	}
-	text, rows, next := c.srv.Exec.Hub().SpoolFor(id, 0).Fetch(off)
+	sp, ok := c.srv.Exec.Hub().Spool(id)
+	if !ok {
+		// Never issued, or CLOSEd: no spool, and FETCH makes none.
+		c.sendErr(fmt.Errorf("server: no cursor %d to fetch", id))
+		return
+	}
+	text, rows, next := sp.Fetch(off)
 	// The reply — the header, then each spooled line behind its "row <id> "
 	// prefix — leaves in one write.
 	prefix := []byte("row " + strconv.Itoa(id) + " ")

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -382,7 +383,7 @@ func TestShowStatsOverWire(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	s, front, _ := startServer(t)
+	s, front, wrapper := startServer(t)
 	addr, err := s.StartMetrics("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -392,19 +393,49 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := cli.Exec(`CREATE STREAM s (v int)`); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get("http://" + addr + "/metrics")
+	// Three rows and one reject through the Wrapper port, in one write.
+	push, err := DialPush(wrapper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	defer push.Close()
+	for _, v := range []string{"1", "2", "x", "3"} {
+		_ = push.Push("s", v)
 	}
-	text := string(body)
-	for _, want := range []string{"# TYPE tcq_eos gauge", "tcq_queries_active"} {
+	_ = push.Flush()
+	deadline := time.Now().Add(5 * time.Second)
+	for (s.wrapper.Rows() < 3 || s.wrapper.Errs() < 1) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	text := get("/metrics")
+	batches := s.wrapper.Batches()
+	if batches < 1 || batches > 3 {
+		t.Fatalf("wrapper batches = %d for 3 rows", batches)
+	}
+	for _, want := range []string{"# TYPE tcq_eos gauge", "tcq_queries_active",
+		"tcq_wrapper_rows_total 3\n", "tcq_wrapper_rejected_total 1\n",
+		fmt.Sprintf("tcq_wrapper_batches_total %d\n", batches)} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
+		}
+	}
+	statz := get("/statz")
+	for _, want := range []string{"tcq_wrapper_rows_total", "tcq_wrapper_rejected_total", "tcq_wrapper_batches_total"} {
+		if !strings.Contains(statz, want) {
+			t.Fatalf("/statz missing %q:\n%s", want, statz)
 		}
 	}
 
@@ -413,12 +444,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, _, err := cli.Query(`SELECT v FROM s`); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get("http://" + addr + "/debug/pprof/goroutine?debug=1")
+	resp, err := http.Get("http://" + addr + "/debug/pprof/goroutine?debug=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err = io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,10 +613,20 @@ func TestDrainForcedCloseSeversLiveSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A raw subscriber that opens a cursor and then never reads: its
-	// session pump backs up against the TCP buffer, so the subscription
-	// queue cannot drain on its own.
-	raw, err := net.Dial("tcp", front)
+	// A raw subscriber that opens a cursor and then never reads, on a
+	// socket with a small receive buffer: its session pump backs up
+	// against TCP, so the subscription queue cannot drain on its own
+	// (with default buffers loopback can absorb the whole backlog).
+	small := net.Dialer{Control: func(_, _ string, c syscall.RawConn) error {
+		var serr error
+		if err := c.Control(func(fd uintptr) {
+			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, 4096)
+		}); err != nil {
+			return err
+		}
+		return serr
+	}}
+	raw, err := small.Dial("tcp", front)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,10 +645,13 @@ func TestDrainForcedCloseSeversLiveSessions(t *testing.T) {
 	}
 	defer push.Close()
 	payload := strings.Repeat("x", 512)
-	for i := 0; i < 16384; i++ {
-		_ = push.Push("s", payload)
+	send := func(rows int) {
+		for i := 0; i < rows; i++ {
+			_ = push.Push("s", payload)
+		}
+		_ = push.Flush()
 	}
-	_ = push.Flush()
+	send(16384)
 	queued := func() int {
 		n := 0
 		for _, sub := range srv.Exec.Hub().Subscriptions() {
@@ -615,12 +659,26 @@ func TestDrainForcedCloseSeversLiveSessions(t *testing.T) {
 		}
 		return n
 	}
+	// Wait for a real wedge: a backlog that is nonzero and has not moved
+	// for 50 ms, so the pump is blocked on the socket, not still draining.
+	// Rows shed on the way (admission can outrun the pump) may leave the
+	// socket room to spare, so top the backlog up while it is empty.
 	deadline := time.Now().Add(10 * time.Second)
-	for queued() == 0 && time.Now().Before(deadline) {
+	last, since := -1, time.Now()
+	for time.Now().Before(deadline) {
+		n := queued()
+		if n != last {
+			last, since = n, time.Now()
+		} else if n > 0 && time.Since(since) >= 50*time.Millisecond {
+			break
+		}
+		if n == 0 {
+			send(1024)
+		}
 		time.Sleep(time.Millisecond)
 	}
-	if queued() == 0 {
-		t.Fatal("subscription backlog never formed")
+	if last <= 0 || time.Since(since) < 50*time.Millisecond {
+		t.Fatalf("subscription backlog never wedged (queued %d)", last)
 	}
 
 	drainDone := make(chan struct{})

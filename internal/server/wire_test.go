@@ -135,3 +135,37 @@ func TestCursorFetchAndReplayBytesMatchRowString(t *testing.T) {
 		t.Fatalf("replay frame differs:\ngot  %q\nwant %q", got, want.String())
 	}
 }
+
+// FETCH on an id with no spool — never issued, or already CLOSEd —
+// replies error and creates no Hub route.
+func TestFetchUnknownOrClosedCursorErrors(t *testing.T) {
+	s := New(executor.Options{})
+	t.Cleanup(s.Close)
+	w := newWireSession(t, s)
+	w.sess.dispatch("CREATE STREAM f (n int)")
+	w.read(t, 1)
+	w.sess.dispatch("SELECT n FROM f")
+	var id int
+	if _, err := fmt.Sscanf(w.read(t, 1), "cursor %d push\n", &id); err != nil {
+		t.Fatal(err)
+	}
+	w.sess.dispatch(fmt.Sprintf("CLOSE %d", id))
+	if got := w.read(t, 2); got != fmt.Sprintf("done %d\nok closed %d\n", id, id) &&
+		got != fmt.Sprintf("ok closed %d\ndone %d\n", id, id) {
+		t.Fatalf("close: %q", got)
+	}
+	routes := s.Exec.Hub().Routes()
+	for i := 0; i < 1001; i++ {
+		fetchID := id
+		if i > 0 {
+			fetchID = 1000 + i
+		}
+		w.sess.dispatch(fmt.Sprintf("FETCH %d 0", fetchID))
+		if got := w.read(t, 1); !strings.HasPrefix(got, "error ") {
+			t.Fatalf("FETCH %d 0 replied %q, want error", fetchID, got)
+		}
+	}
+	if got := s.Exec.Hub().Routes(); got != routes {
+		t.Fatalf("Hub routes %d after the FETCHes, want %d", got, routes)
+	}
+}
